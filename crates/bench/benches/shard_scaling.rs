@@ -20,7 +20,7 @@ use criterion::{criterion_group, Criterion};
 
 use gradsec_data::SyntheticMicro;
 use gradsec_fl::config::TrainingPlan;
-use gradsec_fl::runner::{Federation, ShardedFederation};
+use gradsec_fl::runner::Federation;
 use gradsec_fl::ExecutionEngine;
 use gradsec_nn::zoo;
 
@@ -34,7 +34,7 @@ fn fleet_size() -> usize {
         .unwrap_or(512)
 }
 
-fn federation(clients: usize, shards: usize) -> ShardedFederation {
+fn federation(clients: usize, shards: usize) -> Federation {
     let data = Arc::new(SyntheticMicro::new(2 * clients, 2, DIM, 5));
     Federation::builder(TrainingPlan {
         rounds: 1,
@@ -48,7 +48,7 @@ fn federation(clients: usize, shards: usize) -> ShardedFederation {
     .clients(clients, data)
     .shards(shards)
     .engine(ExecutionEngine::new(2))
-    .build_sharded()
+    .build()
     .expect("sharded federation builds")
 }
 

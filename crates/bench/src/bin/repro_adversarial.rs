@@ -26,7 +26,7 @@ use gradsec_data::SyntheticMicro;
 use gradsec_fl::config::{TrainingPlan, TransportKind};
 use gradsec_fl::message::{DatasetSpec, ModelSpec};
 use gradsec_fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec_fl::{AdversaryPlan, Aggregator, DistributedCoordinator, ExecutionEngine};
+use gradsec_fl::{AdversaryPlan, Aggregator, DistributedBuilder, ExecutionEngine};
 use gradsec_nn::model::ModelWeights;
 use gradsec_nn::zoo;
 use gradsec_tee::cost::json_number;
@@ -180,7 +180,7 @@ fn transport_identity(clients: usize) -> (FederationReport, ModelWeights, bool) 
             .aggregator(Aggregator::Median)
             .shards(shards)
             .engine(ExecutionEngine::new(2))
-            .build_sharded()
+            .build()
             .expect("sharded hostile fleet builds");
         let report = fed.run().expect("sharded hostile fleet runs");
         let identical = report == ref_report && fed.server().global() == &ref_weights;
@@ -204,7 +204,7 @@ fn process_identity(
     let mut ok = true;
     for (procs, workers) in [(2usize, 2usize), (4, 1)] {
         let start = Instant::now();
-        let mut coord = DistributedCoordinator::builder(run_plan)
+        let mut coord = DistributedBuilder::new(run_plan)
             .clients(
                 clients,
                 DatasetSpec::Micro {

@@ -1,5 +1,5 @@
 //! The **multi-process federation gate**: kilo-client rounds driven by a
-//! [`DistributedCoordinator`] over real shard-server child processes
+//! [`Federation`] over real shard-server child processes
 //! must be bit-identical to the flat in-process reference for every
 //! `(shard processes, workers)` configuration — (1,2,4) × (1,2,4) —
 //! plus a fixed-fault-seed run, a sub-sampled-screening run, and a
@@ -26,7 +26,7 @@ use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::distributed::DistributedBuilder;
 use gradsec_fl::message::{DatasetSpec, ModelSpec};
 use gradsec_fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec_fl::{CodecKind, DistributedCoordinator, FaultPlan, LatencyModel};
+use gradsec_fl::{CodecKind, FaultPlan, LatencyModel};
 use gradsec_nn::model::ModelWeights;
 use gradsec_nn::zoo;
 use gradsec_tee::cost::json_number;
@@ -77,7 +77,7 @@ fn run_flat(builder: FederationBuilder) -> (FederationReport, ModelWeights) {
 }
 
 fn distributed_builder(clients: usize, plan: TrainingPlan) -> DistributedBuilder {
-    DistributedCoordinator::builder(plan)
+    DistributedBuilder::new(plan)
         .clients(
             clients,
             DatasetSpec::Micro {
@@ -221,7 +221,7 @@ fn codec_rows(clients: usize) -> (String, bool) {
             .clients(clients, data)
             .codec(codec);
         let (ref_report, ref_weights) = run_flat(flat);
-        let mut coord = DistributedCoordinator::builder(run_plan)
+        let mut coord = DistributedBuilder::new(run_plan)
             .clients(
                 clients,
                 DatasetSpec::Micro {

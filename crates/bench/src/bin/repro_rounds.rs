@@ -259,7 +259,7 @@ fn gate_tier(sessions: usize, slack: f64) -> (String, bool, bool) {
                 .transport(TransportKind::TcpMux)
                 .shards(shards)
                 .engine(ExecutionEngine::new(workers))
-                .build_sharded()
+                .build()
                 .expect("mux fleet builds");
             let report = fed.run().expect("mux round completes");
             let wall_s = start.elapsed().as_secs_f64();

@@ -61,11 +61,12 @@ fn builder(clients: usize, rounds: u64) -> FederationBuilder {
 /// The flat, sequential reference every sharded configuration must
 /// reproduce exactly.
 fn reference(clients: usize, rounds: u64) -> (FederationReport, ModelWeights, f64) {
-    let mut fed = builder(clients, rounds).build().expect("flat fleet builds");
+    let mut fed = builder(clients, rounds)
+        .engine(ExecutionEngine::sequential())
+        .build()
+        .expect("flat fleet builds");
     let start = Instant::now();
-    let report = fed
-        .run_with(&ExecutionEngine::sequential())
-        .expect("reference run completes");
+    let report = fed.run().expect("reference run completes");
     let wall = start.elapsed().as_secs_f64();
     let weights = fed.server().global().clone();
     fed.shutdown().expect("clean teardown");
@@ -94,7 +95,7 @@ fn main() {
                 let mut fed = builder(clients, rounds)
                     .shards(shards)
                     .engine(ExecutionEngine::new(workers))
-                    .build_sharded()
+                    .build()
                     .expect("sharded fleet builds");
                 let start = Instant::now();
                 let report = fed.run().expect("sharded run completes");

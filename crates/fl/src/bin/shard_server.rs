@@ -1,6 +1,7 @@
 //! The shard-server process: hosts one contiguous shard of FL clients
 //! behind the envelope protocol, driven by a
-//! [`DistributedCoordinator`](gradsec_fl::distributed::DistributedCoordinator)
+//! [`Federation`](gradsec_fl::runner::Federation) launched through
+//! [`DistributedBuilder`](gradsec_fl::distributed::DistributedBuilder)
 //! in another process.
 //!
 //! Usage: `shard-server <coordinator-addr>` — the process connects back

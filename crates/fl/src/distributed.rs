@@ -1,14 +1,12 @@
-//! Multi-process federation: shard-server processes driven by a mux
-//! coordinator.
+//! Multi-process fleets: shard-server processes behind one coordinator.
 //!
-//! [`ShardedFederation`](crate::runner::ShardedFederation) scales the
-//! fleet across engine shards inside one process; this module promotes
-//! each shard to its own OS process. A [`DistributedCoordinator`] spawns
+//! A [`Federation`] normally hosts its fleet in this process. A
+//! [`DistributedBuilder`] launches the same runner with each
+//! [`ShardLayout`] shard promoted to its own OS process: it spawns
 //! `shard-server` children (the thin binary in `src/bin/shard_server.rs`
-//! over [`serve_shard`]), each hosting one contiguous
-//! [`ShardLayout`] client range behind the existing envelope protocol,
-//! and drives selection, screening and round execution over loopback
-//! TCP:
+//! over [`serve_shard`]), each hosting one contiguous client range behind
+//! the existing envelope protocol, and [`Federation::run_round`] drives
+//! screening and round execution over loopback TCP:
 //!
 //! ```text
 //!  coordinator process                    shard-server processes
@@ -22,16 +20,15 @@
 //!  └─────────────────────────┘  per shard└───────────────────────────┘
 //! ```
 //!
-//! The determinism contract is unchanged: because every RNG consumption
+//! The determinism contract is the in-process one: every RNG consumption
 //! happens on the coordinator ([`FlServer::screen_plan`] draws the
 //! candidate sub-sample and the attestation nonces in global candidate
-//! order, [`FlServer::sample_screened`] does the single shuffle), because
-//! quote *verification* stays on the coordinator against its own
-//! provisioning registry, and because shard replies come back tagged with
-//! *global* selection slots folded in canonical order through the same
-//! [`finish_round`] the in-process runners use, a distributed run over
-//! `(S shard processes × W workers)` is bit-identical to the flat
-//! in-process reference — gated by `repro_distributed` and
+//! order, [`FlServer::sample_screened`] does the single shuffle), quote
+//! *verification* stays on the coordinator against its own provisioning
+//! registry, and shard replies come back tagged with *global* selection
+//! slots and commit through the same round loop. A run over
+//! `(S shard processes × W workers)` is therefore bit-identical to the
+//! flat in-process reference — gated by `repro_distributed` and
 //! `tests/integration_distributed.rs`.
 //!
 //! Shard-failure semantics: a shard process that crashes, hangs past the
@@ -40,10 +37,10 @@
 //! zero-cost ledger entries and the round commits from the surviving
 //! shards. [`FlError::RoundCollapsed`] is raised only when *nothing*
 //! commits. A dead shard stays dead (and is reaped at
-//! [`shutdown`](DistributedCoordinator::shutdown)); later rounds simply
-//! screen its clients as unreachable.
+//! [`shutdown`](Federation::shutdown)); later rounds simply screen its
+//! clients as unreachable.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -60,23 +57,23 @@ use crate::adversary::{Adversary, AdversaryPlan, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
 use crate::client::{DeviceProfile, FlClient};
 use crate::codec::CodecKind;
-use crate::config::{PartitionKind, ShardLayout, TrainingPlan};
+use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
 use crate::engine::{ClientOutcome, ExecutionEngine};
-use crate::faults::{FaultPlan, FaultyEndpoint};
+use crate::faults::FaultPlan;
 use crate::message::{
-    encode, negotiate_version, parse_envelope_head, DatasetSpec, Envelope, MessageKind, ModelSpec,
+    encode, negotiate_version, DatasetSpec, Envelope, MessageKind, ModelDownload, ModelSpec,
     ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
     ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply,
     ENVELOPE_HEADER_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
-use crate::runner::{finish_round, FederationReport, RoundReport};
+use crate::runner::{partition_dataset, wire_fleet, Federation, Fleet};
 use crate::scheduler::{NoProtection, ProtectionScheduler};
-use crate::selection::{verify_evidence, ScreeningOutcome};
+use crate::selection::{verify_evidence, ScreenPlan, ScreeningOutcome};
 use crate::server::FlServer;
 use crate::trainer::PlainSgdTrainer;
-use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::DEFAULT_JOIN_GRACE;
-use crate::transport::{RemoteClient, ServerEndpoint};
+use crate::transport::tcp::read_envelope;
+use crate::transport::RemoteClient;
 use crate::{FlError, Result};
 
 /// How long `launch` waits for every spawned shard-server to connect
@@ -94,9 +91,9 @@ pub const SHARD_SERVER_ENV: &str = "GRADSEC_SHARD_SERVER";
 /// One framed envelope channel between the coordinator and a
 /// shard-server process: the envelope header doubles as the length
 /// prefix, exactly as on the per-client TCP transport. Counts bytes in
-/// both directions so the repro gates can report wire overhead, and
-/// supports a read deadline so a hung shard is detected rather than
-/// waited on forever.
+/// both directions so the repro gates can report wire overhead; the
+/// configured reply deadline rides on the socket's read timeout, so a
+/// hung shard is detected rather than waited on forever.
 struct ShardChannel {
     stream: TcpStream,
     peer: String,
@@ -109,10 +106,10 @@ impl ShardChannel {
         stream
             .set_nodelay(true)
             .map_err(|e| FlError::transport("configuring shard channel", e))?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".to_owned());
+        let peer = match stream.peer_addr() {
+            Ok(addr) => format!("shard channel {addr}"),
+            Err(_) => "shard channel <unknown>".to_owned(),
+        };
         Ok(ShardChannel {
             stream,
             peer,
@@ -121,37 +118,19 @@ impl ShardChannel {
         })
     }
 
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| FlError::transport("setting shard read deadline", e))
-    }
-
     fn send(&mut self, envelope: &Envelope) -> Result<()> {
         let bytes = encode(envelope);
         self.stream
             .write_all(&bytes)
-            .map_err(|e| FlError::transport(format!("sending to shard {}", self.peer), e))?;
+            .map_err(|e| FlError::transport(format!("sending to {}", self.peer), e))?;
         self.bytes_out += bytes.len() as u64;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Envelope> {
-        let mut header = [0u8; ENVELOPE_HEADER_LEN];
-        self.stream.read_exact(&mut header).map_err(|e| {
-            FlError::transport(format!("reading header from shard {}", self.peer), e)
-        })?;
-        let head = parse_envelope_head(&header)?;
-        let mut payload = vec![0u8; head.payload_len];
-        self.stream.read_exact(&mut payload).map_err(|e| {
-            FlError::transport(format!("reading payload from shard {}", self.peer), e)
-        })?;
-        self.bytes_in += (ENVELOPE_HEADER_LEN + payload.len()) as u64;
-        Ok(Envelope {
-            version: head.version,
-            kind: head.kind,
-            payload,
-        })
+        let envelope = read_envelope(&mut self.stream, &self.peer)?;
+        self.bytes_in += (ENVELOPE_HEADER_LEN + envelope.payload.len()) as u64;
+        Ok(envelope)
     }
 }
 
@@ -240,7 +219,8 @@ fn resolve_shard_server() -> Result<PathBuf> {
 // Coordinator.
 // ---------------------------------------------------------------------
 
-/// Configures and launches a [`DistributedCoordinator`].
+/// Configures and launches a [`Federation`] whose fleet lives in
+/// shard-server processes.
 ///
 /// Unlike [`FederationBuilder`](crate::runner::FederationBuilder) —
 /// whose model/trainer factories are arbitrary closures — the
@@ -410,14 +390,14 @@ impl DistributedBuilder {
     }
 
     /// Spawns the shard-server processes, performs the shard-control
-    /// handshake and configuration, and returns the ready coordinator.
+    /// handshake and configuration, and returns the ready federation.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::BadConfig`] on invalid configuration,
     /// [`FlError::Transport`] when spawning/connecting fails, and
     /// [`FlError::Protocol`] on a handshake violation.
-    pub fn launch(self) -> Result<DistributedCoordinator> {
+    pub fn launch(self) -> Result<Federation> {
         self.plan.validate()?;
         if let Some(p) = &self.faults {
             p.validate()?;
@@ -437,9 +417,7 @@ impl DistributedBuilder {
                 reason: "distributed federation needs at least one client".to_owned(),
             });
         }
-        let prototype = build_model(&model)?;
-        let n_layers = prototype.num_layers();
-        let init_weights = prototype.weights();
+        let init_weights = build_model(&model)?.weights();
         let mut server = FlServer::new(self.plan, init_weights.clone(), self.measurement)?;
         if let Some(p) = &self.faults {
             server.overprovision(p.spare_count());
@@ -447,601 +425,472 @@ impl DistributedBuilder {
         server.set_screening_sample(self.screening_sample);
         server.set_reputation(self.reputation);
         let layout = ShardLayout::new(self.clients, self.shards);
-
-        let listener = TcpListener::bind(("127.0.0.1", 0))
-            .map_err(|e| FlError::transport("binding coordinator listener", e))?;
-        let addr: SocketAddr = listener
-            .local_addr()
-            .map_err(|e| FlError::transport("reading coordinator address", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| FlError::transport("configuring coordinator listener", e))?;
-
-        let binary = resolve_shard_server()?;
-        let mut shards: Vec<ShardSlot> = Vec::with_capacity(layout.num_shards());
-        for _ in 0..layout.num_shards() {
-            let child = Command::new(&binary)
-                .arg(addr.to_string())
-                .stdin(Stdio::null())
-                .spawn()
-                .map_err(|e| FlError::transport(format!("spawning {}", binary.display()), e))?;
-            shards.push(ShardSlot {
-                channel: None,
-                child,
-                reaped: false,
-                deliberately_killed: false,
-            });
+        // Every shard gets the same recipe; only its range differs.
+        let config = ShardConfig {
+            shard_index: 0,
+            range_start: 0,
+            range_end: 0,
+            total_clients: layout.num_clients() as u64,
+            dataset,
+            model,
+            init_weights,
+            plan: self.plan,
+            backend: self.backend.name().to_owned(),
+            codec: self.codec.name().to_owned(),
+            workers: self.workers as u64,
+            measurement: self.measurement,
+            faults: self.faults.clone(),
+            partition: self.partition.name().to_owned(),
+            adversaries: self.adversaries,
+        };
+        let mut shards = Vec::with_capacity(layout.num_shards());
+        if let Err(e) = spawn_shards(&mut shards, &layout, &config, self.reply_timeout) {
+            let _ = teardown(&mut shards);
+            return Err(e);
         }
-        let mut coordinator = DistributedCoordinator {
+        Ok(Federation {
             server,
             layout,
+            fleet: Fleet::Processes(shards),
             scheduler: self.scheduler,
-            faults: self.faults,
-            adversaries: self.adversaries,
+            engine: ExecutionEngine::new(self.workers),
+            faults: self.faults.map(Arc::new),
             aggregator: self.aggregator,
-            partition: self.partition,
-            measurement: self.measurement,
-            n_layers,
-            reply_timeout: self.reply_timeout,
-            shards,
-            retired_bytes: (0, 0),
-            torn_down: false,
-        };
-        // Accept-and-handshake inside a closure so any failure still
-        // tears the children down via the coordinator's Drop.
-        let setup = (|| -> Result<()> {
-            // Accept one connection per shard; identity is assigned by
-            // arrival order (shard servers are symmetric until
-            // configured). Poll so a child that died before connecting
-            // fails the launch instead of hanging it.
-            let deadline = Instant::now() + CONNECT_GRACE;
-            for s in 0..coordinator.shards.len() {
-                let stream = loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => break stream,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            for slot in &mut coordinator.shards {
-                                if let Ok(Some(status)) = slot.child.try_wait() {
-                                    slot.reaped = true;
-                                    return Err(FlError::Protocol {
-                                        reason: format!(
-                                            "shard-server exited before connecting: {status}"
-                                        ),
-                                    });
-                                }
-                            }
-                            if Instant::now() > deadline {
-                                return Err(FlError::disconnected(
-                                    "waiting for shard-server connections",
-                                ));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(e) => return Err(FlError::transport("accepting shard connection", e)),
-                    }
-                };
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| FlError::transport("configuring shard stream", e))?;
-                let mut channel = ShardChannel::new(stream)?;
-                let hello: ShardHello = channel.recv()?.open(MessageKind::ShardHello)?;
-                // Arrival order assigns shard identity, but the child
-                // handles sit in *spawn* order — pair each connection
-                // with its process via the hello's pid, or a later
-                // kill/teardown would target the wrong child. Slots
-                // before `s` are already paired, so only the tail is
-                // searched (and swapped while both channels are None).
-                let k = coordinator.shards[s..]
-                    .iter()
-                    .position(|slot| u64::from(slot.child.id()) == hello.pid)
-                    .map(|offset| s + offset)
-                    .ok_or(FlError::Protocol {
-                        reason: format!("connection from unknown shard-server pid {}", hello.pid),
-                    })?;
-                coordinator.shards.swap(s, k);
-                let version = negotiate_version(hello.min_version, hello.max_version).ok_or(
-                    FlError::Protocol {
-                        reason: format!(
-                            "shard-server speaks versions {}..={}, coordinator {}..={}",
-                            hello.min_version,
-                            hello.max_version,
-                            MIN_SUPPORTED_VERSION,
-                            PROTOCOL_VERSION
-                        ),
-                    },
-                )?;
-                channel.send(&Envelope::pack(
-                    MessageKind::ShardHelloAck,
-                    &ShardHelloAck {
-                        version,
-                        shard_index: s as u64,
-                    },
-                ))?;
-                coordinator.shards[s].channel = Some(channel);
-            }
-            // Configure all shards, then collect all acks: fleet wiring
-            // is the expensive part and this pipelines it across
-            // processes.
-            for s in 0..coordinator.shards.len() {
-                let range = coordinator.layout.range(s);
-                let config = ShardConfig {
-                    shard_index: s as u64,
-                    range_start: range.start as u64,
-                    range_end: range.end as u64,
-                    total_clients: coordinator.layout.num_clients() as u64,
-                    dataset,
-                    model,
-                    init_weights: init_weights.clone(),
-                    plan: coordinator.server.plan().to_owned(),
-                    backend: self.backend.name().to_owned(),
-                    codec: self.codec.name().to_owned(),
-                    workers: self.workers as u64,
-                    measurement: coordinator.measurement,
-                    faults: coordinator.faults.clone(),
-                    partition: coordinator.partition.name().to_owned(),
-                    adversaries: coordinator.adversaries.clone(),
-                };
-                coordinator.shards[s]
-                    .channel
-                    .as_mut()
-                    .expect("channel just installed")
-                    .send(&Envelope::pack(MessageKind::ShardConfig, &config))?;
-            }
-            for s in 0..coordinator.shards.len() {
-                let range = coordinator.layout.range(s);
-                let ack: ShardConfigAck = coordinator.shards[s]
-                    .channel
-                    .as_mut()
-                    .expect("channel just installed")
-                    .recv()?
-                    .open(MessageKind::ShardConfigAck)?;
-                if ack.clients != range.len() as u64 {
-                    return Err(FlError::Protocol {
-                        reason: format!(
-                            "shard {s} wired {} clients, expected {}",
-                            ack.clients,
-                            range.len()
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })();
-        match setup {
-            Ok(()) => Ok(coordinator),
-            Err(e) => {
-                let _ = coordinator.teardown();
-                Err(e)
-            }
-        }
+            // Colluders live in the shard processes; their observation log
+            // is an in-process artifact.
+            collusion: None,
+        })
     }
+}
+
+/// Spawns one shard-server per layout shard into `shards`, accepts and
+/// handshakes their connections, and configures each with its client
+/// range. On error the caller tears down whatever `shards` holds.
+fn spawn_shards(
+    shards: &mut Vec<ShardSlot>,
+    layout: &ShardLayout,
+    config: &ShardConfig,
+    reply_timeout: Option<Duration>,
+) -> Result<()> {
+    let listener = TcpListener::bind(("127.0.0.1", 0))
+        .map_err(|e| FlError::transport("binding coordinator listener", e))?;
+    let addr: SocketAddr = listener
+        .local_addr()
+        .map_err(|e| FlError::transport("reading coordinator address", e))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| FlError::transport("configuring coordinator listener", e))?;
+    let binary = resolve_shard_server()?;
+    for _ in 0..layout.num_shards() {
+        let child = Command::new(&binary)
+            .arg(addr.to_string())
+            .stdin(Stdio::null())
+            .spawn()
+            .map_err(|e| FlError::transport(format!("spawning {}", binary.display()), e))?;
+        shards.push(ShardSlot {
+            channel: None,
+            child,
+            reaped: false,
+            deliberately_killed: false,
+            retired_bytes: (0, 0),
+        });
+    }
+    // Accept one connection per shard; identity is assigned by arrival
+    // order (shard servers are symmetric until configured). Poll so a
+    // child that died before connecting fails the launch instead of
+    // hanging it.
+    let deadline = Instant::now() + CONNECT_GRACE;
+    for s in 0..shards.len() {
+        let stream = loop {
+            match listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    for slot in shards.iter_mut() {
+                        if let Ok(Some(status)) = slot.child.try_wait() {
+                            slot.reaped = true;
+                            return Err(FlError::Protocol {
+                                reason: format!("shard-server exited before connecting: {status}"),
+                            });
+                        }
+                    }
+                    if Instant::now() > deadline {
+                        return Err(FlError::disconnected(
+                            "waiting for shard-server connections",
+                        ));
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => return Err(FlError::transport("accepting shard connection", e)),
+            }
+        };
+        stream
+            .set_nonblocking(false)
+            .map_err(|e| FlError::transport("configuring shard stream", e))?;
+        let mut channel = ShardChannel::new(stream)?;
+        let hello: ShardHello = channel.recv()?.open(MessageKind::ShardHello)?;
+        // Arrival order assigns shard identity, but the child handles sit
+        // in *spawn* order — pair each connection with its process via the
+        // hello's pid, or a later kill/teardown would target the wrong
+        // child. Slots before `s` are already paired, so only the tail is
+        // searched (and swapped while both channels are None).
+        let k = shards[s..]
+            .iter()
+            .position(|slot| u64::from(slot.child.id()) == hello.pid)
+            .map(|offset| s + offset)
+            .ok_or(FlError::Protocol {
+                reason: format!("connection from unknown shard-server pid {}", hello.pid),
+            })?;
+        shards.swap(s, k);
+        let version =
+            negotiate_version(hello.min_version, hello.max_version).ok_or(FlError::Protocol {
+                reason: format!(
+                    "shard-server speaks versions {}..={}, coordinator {}..={}",
+                    hello.min_version, hello.max_version, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION
+                ),
+            })?;
+        channel.send(&Envelope::pack(
+            MessageKind::ShardHelloAck,
+            &ShardHelloAck {
+                version,
+                shard_index: s as u64,
+            },
+        ))?;
+        shards[s].channel = Some(channel);
+    }
+    // Configure all shards, then collect all acks: fleet wiring is the
+    // expensive part and this pipelines it across processes.
+    for (s, slot) in shards.iter_mut().enumerate() {
+        let range = layout.range(s);
+        let config = ShardConfig {
+            shard_index: s as u64,
+            range_start: range.start as u64,
+            range_end: range.end as u64,
+            ..config.clone()
+        };
+        slot.channel_mut()?
+            .send(&Envelope::pack(MessageKind::ShardConfig, &config))?;
+    }
+    for (s, slot) in shards.iter_mut().enumerate() {
+        let range = layout.range(s);
+        let channel = slot.channel_mut()?;
+        let ack: ShardConfigAck = channel.recv()?.open(MessageKind::ShardConfigAck)?;
+        if ack.clients != range.len() as u64 {
+            return Err(FlError::Protocol {
+                reason: format!(
+                    "shard {s} wired {} clients, expected {}",
+                    ack.clients,
+                    range.len()
+                ),
+            });
+        }
+        // From here on every read is a round reply, so the reply deadline
+        // can sit on the socket for the channel's lifetime.
+        channel
+            .stream
+            .set_read_timeout(reply_timeout)
+            .map_err(|e| FlError::transport("setting shard read deadline", e))?;
+    }
+    Ok(())
 }
 
 /// One shard-server process as the coordinator tracks it: the control
 /// channel (dropped once the shard is declared dead) and the child
 /// process handle.
-struct ShardSlot {
+pub(crate) struct ShardSlot {
     channel: Option<ShardChannel>,
     child: Child,
     reaped: bool,
     deliberately_killed: bool,
-}
-
-/// Drives a fleet of `shard-server` processes through FL rounds — the
-/// multi-process counterpart of
-/// [`ShardedFederation`](crate::runner::ShardedFederation), with the
-/// identical determinism contract (see the [module docs](self)).
-pub struct DistributedCoordinator {
-    server: FlServer,
-    layout: ShardLayout,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    faults: Option<FaultPlan>,
-    adversaries: Option<AdversaryPlan>,
-    aggregator: Aggregator,
-    partition: PartitionKind,
-    measurement: Measurement,
-    n_layers: usize,
-    reply_timeout: Option<Duration>,
-    shards: Vec<ShardSlot>,
-    /// Bytes (out, in) accumulated from channels already dropped.
+    /// Bytes (out, in) the channel carried before it was retired.
     retired_bytes: (u64, u64),
-    torn_down: bool,
 }
 
-impl std::fmt::Debug for DistributedCoordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedCoordinator")
-            .field("shards", &self.shards.len())
-            .field("clients", &self.layout.num_clients())
-            .field("round", &self.server.round())
-            .finish()
-    }
-}
-
-impl DistributedCoordinator {
-    /// Starts a builder.
-    pub fn builder(plan: TrainingPlan) -> DistributedBuilder {
-        DistributedBuilder::new(plan)
+impl ShardSlot {
+    /// Whether the shard's process is still connected.
+    pub(crate) fn alive(&self) -> bool {
+        self.channel.is_some()
     }
 
-    /// The server (model, history, round counter).
-    pub fn server(&self) -> &FlServer {
-        &self.server
+    fn channel_mut(&mut self) -> Result<&mut ShardChannel> {
+        self.channel
+            .as_mut()
+            .ok_or_else(|| FlError::disconnected("shard channel already retired"))
     }
 
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Whether shard `s`'s process is still connected.
-    pub fn shard_alive(&self, s: usize) -> bool {
-        self.shards
-            .get(s)
-            .is_some_and(|slot| slot.channel.is_some())
-    }
-
-    /// Total envelope bytes `(sent, received)` across every shard
-    /// channel this coordinator has driven, dead ones included.
-    pub fn bytes_on_wire(&self) -> (u64, u64) {
-        let mut out = self.retired_bytes.0;
-        let mut inn = self.retired_bytes.1;
-        for slot in &self.shards {
-            if let Some(ch) = &slot.channel {
-                out += ch.bytes_out;
-                inn += ch.bytes_in;
-            }
+    /// Envelope bytes `(sent, received)` over this shard's lifetime.
+    fn bytes(&self) -> (u64, u64) {
+        let (out, inn) = self.retired_bytes;
+        match &self.channel {
+            Some(ch) => (out + ch.bytes_out, inn + ch.bytes_in),
+            None => (out, inn),
         }
-        (out, inn)
     }
 
-    /// Kills shard `s`'s process outright (SIGKILL) — the fault the
-    /// stretch goal injects: the next round must bill and exclude the
-    /// shard's cohort rather than fail the federation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] when the kill itself fails.
-    pub fn kill_shard(&mut self, s: usize) -> Result<()> {
-        let slot = self.shards.get_mut(s).ok_or(FlError::BadConfig {
-            reason: format!("no shard {s}"),
-        })?;
-        slot.deliberately_killed = true;
-        slot.child
-            .kill()
-            .map_err(|e| FlError::transport(format!("killing shard {s}"), e))?;
-        // Reap now so the child never lingers as a zombie; the socket
-        // stays open until retired below.
-        let _ = slot.child.wait();
-        slot.reaped = true;
-        self.retire_channel(s);
-        Ok(())
-    }
-
-    /// Drops shard `s`'s channel, folding its byte counters into the
-    /// retired totals. Idempotent.
-    fn retire_channel(&mut self, s: usize) {
-        if let Some(ch) = self.shards[s].channel.take() {
+    /// Drops the channel, folding its byte counters into the retired
+    /// totals. Idempotent.
+    fn retire(&mut self) {
+        if let Some(ch) = self.channel.take() {
             self.retired_bytes.0 += ch.bytes_out;
             self.retired_bytes.1 += ch.bytes_in;
         }
     }
 
-    /// Runs one FL cycle across the shard processes: screen (nonces
-    /// drawn here, evidence verified here), sample, broadcast the
-    /// download, fold the shard partials in canonical slot order, and
-    /// commit through the same [`finish_round`] as the in-process
-    /// runners.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection and aggregation failures;
-    /// [`FlError::RoundCollapsed`] when every picked client (shard
-    /// deaths included) failed to commit.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let round = self.server.round();
-        let screen = self.server.screen_plan(self.layout.num_clients());
-        // Partition this round's candidates by owning shard, remembering
-        // each probe's position in the global candidate order so the
-        // outcome vector can be reassembled index-aligned.
-        let num_shards = self.shards.len();
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        let mut probes: Vec<Vec<ScreenProbe>> = vec![Vec::new(); num_shards];
-        for (ci, (&g, ch)) in screen
-            .candidates
-            .iter()
-            .zip(screen.challenges.iter())
-            .enumerate()
-        {
-            let s = self.layout.shard_of(g);
-            positions[s].push(ci);
-            probes[s].push(ScreenProbe {
-                local: (g - self.layout.range(s).start) as u64,
-                challenge: *ch,
-            });
-        }
-        // Candidates on a dead (or newly failing) shard screen as
-        // unreachable — the same verdict an in-process fleet gives a
-        // client whose endpoint is gone.
-        let mut outcomes = vec![ScreeningOutcome::Unreachable; screen.candidates.len()];
-        // Indexed loops throughout the fan-out: the body both reads the
-        // per-shard vectors and mutably re-borrows `self` (retiring dead
-        // channels), which an iterator over those vectors would pin.
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..num_shards {
-            if probes[s].is_empty() || self.shards[s].channel.is_none() {
-                continue;
-            }
-            let msg = Envelope::pack(
-                MessageKind::ShardScreen,
-                &ShardScreen {
-                    probes: std::mem::take(&mut probes[s]),
-                },
-            );
-            if self.shards[s]
-                .channel
-                .as_mut()
-                .expect("checked above")
-                .send(&msg)
-                .is_err()
-            {
-                self.retire_channel(s);
+    /// Sends `msg` if the shard is alive; a failed send retires it.
+    fn send(&mut self, msg: &Envelope) {
+        if let Some(ch) = &mut self.channel {
+            if ch.send(msg).is_err() {
+                self.retire();
             }
         }
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..num_shards {
-            if positions[s].is_empty() || self.shards[s].channel.is_none() {
-                continue;
-            }
-            let reply = self.shard_reply::<ShardScreenReply>(s, MessageKind::ShardScreenReply);
-            match reply {
-                Ok(reply) if reply.evidence.len() == positions[s].len() => {
-                    for (&ci, evidence) in positions[s].iter().zip(reply.evidence) {
-                        let g = screen.candidates[ci];
-                        outcomes[ci] = match evidence {
-                            None => ScreeningOutcome::Unreachable,
-                            Some(resp) => verify_evidence(
-                                &DeviceProfile::provisioned_key(g as u64),
-                                resp.quote,
-                                self.measurement,
-                                &screen.challenges[ci],
-                            ),
-                        };
-                    }
-                }
-                _ => self.retire_channel(s),
-            }
-        }
-        let picked = self.server.sample_screened(&screen, &outcomes)?;
-
-        let mut protected = self.scheduler.layers_for_round(round);
-        protected.retain(|&l| l < self.n_layers);
-        let download = self.server.download(protected.clone());
-
-        // Fan the round out. With a contiguous layout and sorted picks,
-        // shard s's picks occupy the contiguous global slot range
-        // starting at the prefix count — that is each reply's slot_base.
-        let split = self.layout.split_picks(&picked);
-        let mut slot_base = vec![0usize; num_shards];
-        let mut at = 0usize;
-        for s in 0..num_shards {
-            slot_base[s] = at;
-            at += split[s].len();
-        }
-        let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
-        let mut ledger = RoundLedger::new();
-        let mut cohort_failed = false;
-        for s in 0..num_shards {
-            if split[s].is_empty() || self.shards[s].channel.is_none() {
-                continue;
-            }
-            let msg = Envelope::pack(
-                MessageKind::ShardRound,
-                &ShardRound {
-                    download: download.clone(),
-                    picks: split[s].iter().map(|&p| p as u64).collect(),
-                    slot_base: slot_base[s] as u64,
-                },
-            );
-            if self.shards[s]
-                .channel
-                .as_mut()
-                .expect("checked above")
-                .send(&msg)
-                .is_err()
-            {
-                self.retire_channel(s);
-            }
-        }
-        for s in 0..num_shards {
-            if split[s].is_empty() {
-                continue;
-            }
-            let applied = if self.shards[s].channel.is_some() {
-                match self.shard_reply::<ShardRoundReply>(s, MessageKind::ShardRoundReply) {
-                    Ok(reply) => apply_shard_reply(
-                        reply,
-                        slot_base[s],
-                        split[s].len(),
-                        &mut slots,
-                        &mut ledger,
-                    )
-                    .is_ok(),
-                    Err(_) => false,
-                }
-            } else {
-                false
-            };
-            if !applied {
-                // The whole cohort is billed and excluded, straggler
-                // style: failed outcomes with zero-cost ledger entries.
-                self.retire_channel(s);
-                cohort_failed = true;
-                let range = self.layout.range(s);
-                for (j, &local) in split[s].iter().enumerate() {
-                    let client = (range.start + local) as u64;
-                    ledger.record(ClientCycleCost::unbilled(client));
-                    slots[slot_base[s] + j] = Some(ClientOutcome::Failed {
-                        client,
-                        error: FlError::ClientFailure {
-                            client,
-                            reason: format!("shard {s} process failed mid-round"),
-                        },
-                    });
-                }
-            }
-        }
-        let outcomes: Vec<ClientOutcome> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(slot, o)| {
-                o.unwrap_or_else(|| {
-                    let client = picked[slot] as u64;
-                    ledger.record(ClientCycleCost::unbilled(client));
-                    ClientOutcome::Failed {
-                        client,
-                        error: FlError::ClientFailure {
-                            client,
-                            reason: "coordinator lost the client's outcome".to_owned(),
-                        },
-                    }
-                })
-            })
-            .collect();
-        // A shard-process death is tolerated like a straggler cohort
-        // even without a fault plan; the round errs only when nothing
-        // committed (RoundCollapsed inside finish_round).
-        let tolerate = self.faults.is_some() || cohort_failed;
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
-            outcomes,
-            ledger,
-            protected,
-            tolerate,
-            self.aggregator,
-        )
     }
 
-    /// Receives shard `s`'s reply under the configured deadline and
-    /// opens it as `T`. Does *not* retire the channel on failure — the
-    /// caller decides how a failure is billed.
-    fn shard_reply<T: crate::message::Wire>(&mut self, s: usize, expect: MessageKind) -> Result<T> {
-        let timeout = self.reply_timeout;
-        let channel = self.shards[s]
-            .channel
-            .as_mut()
-            .ok_or_else(|| FlError::disconnected(format!("shard {s} channel already retired")))?;
-        channel.set_read_timeout(timeout)?;
-        let reply = channel.recv();
-        let _ = channel.set_read_timeout(None);
-        reply?.open(expect)
+    /// Receives the shard's reply (under the channel's deadline) and opens
+    /// it as `T`. Does *not* retire the channel on failure — the caller
+    /// decides how a failure is billed.
+    fn reply<T: crate::message::Wire>(&mut self, expect: MessageKind) -> Result<T> {
+        self.channel_mut()?.recv()?.open(expect)
     }
 
-    /// Runs the full plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(&mut self) -> Result<FederationReport> {
-        let mut report = FederationReport::default();
-        for _ in 0..self.server.plan().rounds {
-            let r = self.run_round()?;
-            report.rounds.push(r);
-            report.rounds_completed += 1;
-        }
-        Ok(report)
-    }
-
-    /// Tears the fleet down: sends every live shard a Goodbye, drops the
-    /// channels (so a shard that lost the goodbye observes EOF), then
-    /// waits for the child processes under the same watchdog discipline
-    /// as `MuxFleet::join` — bounded by [`DEFAULT_JOIN_GRACE`],
-    /// kill-on-timeout, first error surfaced. Called automatically on
-    /// drop (best effort); call explicitly to observe teardown errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first goodbye/exit failure encountered (deliberately
-    /// killed shards excepted).
-    pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
-    }
-
-    fn teardown(&mut self) -> Result<()> {
-        if self.torn_down {
-            return Ok(());
-        }
-        self.torn_down = true;
-        let mut first_err: Option<FlError> = None;
-        for s in 0..self.shards.len() {
-            if let Some(ch) = self.shards[s].channel.as_mut() {
-                if let Err(e) = ch.send(&Envelope::control(MessageKind::Goodbye)) {
-                    first_err.get_or_insert(e);
-                }
-            }
-            // Dropping the channel closes the socket: a shard whose
-            // goodbye was lost sees EOF and exits instead of hanging
-            // the wait below.
-            self.retire_channel(s);
-        }
-        let deadline = Instant::now() + DEFAULT_JOIN_GRACE;
-        loop {
-            let mut all_done = true;
-            for slot in &mut self.shards {
-                if slot.reaped {
-                    continue;
-                }
-                match slot.child.try_wait() {
-                    Ok(Some(status)) => {
-                        slot.reaped = true;
-                        if !status.success() && !slot.deliberately_killed {
-                            first_err.get_or_insert(FlError::Protocol {
-                                reason: format!("shard-server exited with {status}"),
-                            });
-                        }
-                    }
-                    Ok(None) => all_done = false,
-                    Err(e) => {
-                        slot.reaped = true;
-                        first_err.get_or_insert(FlError::transport("waiting for shard-server", e));
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            if Instant::now() > deadline {
-                for slot in &mut self.shards {
-                    if slot.reaped {
-                        continue;
-                    }
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                    slot.reaped = true;
-                    if !slot.deliberately_killed {
-                        first_err.get_or_insert(FlError::Protocol {
-                            reason: "shard-server ignored goodbye past the join grace; killed"
-                                .to_owned(),
-                        });
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+    /// SIGKILLs the shard's process and retires its channel; shard `s` is
+    /// named in errors.
+    pub(crate) fn kill(&mut self, s: usize) -> Result<()> {
+        self.deliberately_killed = true;
+        self.child
+            .kill()
+            .map_err(|e| FlError::transport(format!("killing shard {s}"), e))?;
+        // Reap now so the child never lingers as a zombie; the socket
+        // stays open until retired below.
+        let _ = self.child.wait();
+        self.reaped = true;
+        self.retire();
+        Ok(())
     }
 }
 
-impl Drop for DistributedCoordinator {
-    fn drop(&mut self) {
-        let _ = self.teardown();
+/// Total envelope bytes `(sent, received)` across every shard channel,
+/// dead ones included.
+pub(crate) fn bytes_on_wire(shards: &[ShardSlot]) -> (u64, u64) {
+    shards
+        .iter()
+        .map(ShardSlot::bytes)
+        .fold((0, 0), |(o, i), (bo, bi)| (o + bo, i + bi))
+}
+
+/// Screens the plan's candidates on their owning shard processes
+/// (nonces drawn and evidence verified here, on the coordinator),
+/// returning verdicts index-aligned with the candidates. Candidates on a
+/// dead (or newly failing) shard screen as unreachable — the verdict an
+/// in-process fleet gives a client whose endpoint is gone.
+pub(crate) fn screen(
+    shards: &mut [ShardSlot],
+    layout: &ShardLayout,
+    screen: &ScreenPlan,
+    expected: Measurement,
+) -> Vec<ScreeningOutcome> {
+    // Partition this round's candidates by owning shard, remembering
+    // each probe's position in the global candidate order so the outcome
+    // vector can be reassembled index-aligned.
+    let mut positions: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
+    let mut probes: Vec<Vec<ScreenProbe>> = vec![Vec::new(); shards.len()];
+    for (ci, (&g, ch)) in screen
+        .candidates
+        .iter()
+        .zip(screen.challenges.iter())
+        .enumerate()
+    {
+        let s = layout.shard_of(g);
+        positions[s].push(ci);
+        probes[s].push(ScreenProbe {
+            local: (g - layout.range(s).start) as u64,
+            challenge: *ch,
+        });
     }
+    let mut outcomes = vec![ScreeningOutcome::Unreachable; screen.candidates.len()];
+    for (slot, probes) in shards.iter_mut().zip(probes) {
+        if !probes.is_empty() {
+            slot.send(&Envelope::pack(
+                MessageKind::ShardScreen,
+                &ShardScreen { probes },
+            ));
+        }
+    }
+    for (slot, positions) in shards.iter_mut().zip(&positions) {
+        if positions.is_empty() || !slot.alive() {
+            continue;
+        }
+        match slot.reply::<ShardScreenReply>(MessageKind::ShardScreenReply) {
+            Ok(reply) if reply.evidence.len() == positions.len() => {
+                for (&ci, evidence) in positions.iter().zip(reply.evidence) {
+                    let g = screen.candidates[ci];
+                    outcomes[ci] = match evidence {
+                        None => ScreeningOutcome::Unreachable,
+                        Some(resp) => verify_evidence(
+                            &DeviceProfile::provisioned_key(g as u64),
+                            resp.quote,
+                            expected,
+                            &screen.challenges[ci],
+                        ),
+                    };
+                }
+            }
+            _ => slot.retire(),
+        }
+    }
+    outcomes
+}
+
+/// Runs one round across the shard processes: sends every shard its
+/// picks first, then collects the replies, so the shards train
+/// concurrently. Returns the outcomes in `picked` order, the merged
+/// ledger, and whether a whole shard cohort was lost.
+pub(crate) fn execute(
+    shards: &mut [ShardSlot],
+    layout: &ShardLayout,
+    picked: &[usize],
+    download: &ModelDownload,
+) -> (Vec<ClientOutcome>, RoundLedger, bool) {
+    // With a contiguous layout and sorted picks, shard s's picks occupy
+    // the contiguous global slot range starting at the prefix count —
+    // that is each reply's slot_base.
+    let split = layout.split_picks(picked);
+    let slot_base: Vec<usize> = split
+        .iter()
+        .scan(0, |at, picks| {
+            let base = *at;
+            *at += picks.len();
+            Some(base)
+        })
+        .collect();
+    let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
+    let mut ledger = RoundLedger::new();
+    let mut cohort_failed = false;
+    for ((slot, picks), &base) in shards.iter_mut().zip(&split).zip(&slot_base) {
+        if !picks.is_empty() {
+            slot.send(&Envelope::pack(
+                MessageKind::ShardRound,
+                &ShardRound {
+                    download: download.clone(),
+                    picks: picks.iter().map(|&p| p as u64).collect(),
+                    slot_base: base as u64,
+                },
+            ));
+        }
+    }
+    for (s, ((slot, picks), &base)) in shards.iter_mut().zip(&split).zip(&slot_base).enumerate() {
+        if picks.is_empty() {
+            continue;
+        }
+        let applied = slot.alive()
+            && slot
+                .reply::<ShardRoundReply>(MessageKind::ShardRoundReply)
+                .and_then(|reply| {
+                    apply_shard_reply(reply, base, picks.len(), &mut slots, &mut ledger)
+                })
+                .is_ok();
+        if !applied {
+            // The whole cohort is billed and excluded, straggler style:
+            // failed outcomes with zero-cost ledger entries.
+            slot.retire();
+            cohort_failed = true;
+            let range = layout.range(s);
+            for (j, &local) in picks.iter().enumerate() {
+                let client = (range.start + local) as u64;
+                ledger.record(ClientCycleCost::unbilled(client));
+                slots[base + j] = Some(ClientOutcome::Failed {
+                    client,
+                    error: FlError::ClientFailure {
+                        client,
+                        reason: format!("shard {s} process failed mid-round"),
+                    },
+                });
+            }
+        }
+    }
+    let outcomes = slots
+        .into_iter()
+        .enumerate()
+        .map(|(slot, o)| {
+            o.unwrap_or_else(|| {
+                let client = picked[slot] as u64;
+                ledger.record(ClientCycleCost::unbilled(client));
+                ClientOutcome::Failed {
+                    client,
+                    error: FlError::ClientFailure {
+                        client,
+                        reason: "coordinator lost the client's outcome".to_owned(),
+                    },
+                }
+            })
+        })
+        .collect();
+    (outcomes, ledger, cohort_failed)
+}
+
+/// Tears the shard fleet down: sends every live shard a Goodbye, drops
+/// the channels (so a shard that lost the goodbye observes EOF), then
+/// waits for the child processes under the same watchdog discipline as
+/// `MuxFleet::join` — bounded by [`DEFAULT_JOIN_GRACE`], kill-on-timeout,
+/// first error surfaced (deliberately killed shards excepted).
+/// Idempotent: a second call finds every channel retired and every child
+/// reaped.
+pub(crate) fn teardown(shards: &mut [ShardSlot]) -> Result<()> {
+    let mut first_err: Option<FlError> = None;
+    for slot in shards.iter_mut() {
+        if let Some(ch) = slot.channel.as_mut() {
+            if let Err(e) = ch.send(&Envelope::control(MessageKind::Goodbye)) {
+                first_err.get_or_insert(e);
+            }
+        }
+        // Dropping the channel closes the socket: a shard whose goodbye
+        // was lost sees EOF and exits instead of hanging the wait below.
+        slot.retire();
+    }
+    let deadline = Instant::now() + DEFAULT_JOIN_GRACE;
+    loop {
+        let mut all_done = true;
+        for slot in shards.iter_mut() {
+            if slot.reaped {
+                continue;
+            }
+            match slot.child.try_wait() {
+                Ok(Some(status)) => {
+                    slot.reaped = true;
+                    if !status.success() && !slot.deliberately_killed {
+                        first_err.get_or_insert(FlError::Protocol {
+                            reason: format!("shard-server exited with {status}"),
+                        });
+                    }
+                }
+                Ok(None) => all_done = false,
+                Err(e) => {
+                    slot.reaped = true;
+                    first_err.get_or_insert(FlError::transport("waiting for shard-server", e));
+                }
+            }
+        }
+        if all_done {
+            break;
+        }
+        if Instant::now() > deadline {
+            for slot in shards.iter_mut() {
+                if slot.reaped {
+                    continue;
+                }
+                let _ = slot.child.kill();
+                let _ = slot.child.wait();
+                slot.reaped = true;
+                if !slot.deliberately_killed {
+                    first_err.get_or_insert(FlError::Protocol {
+                        reason: "shard-server ignored goodbye past the join grace; killed"
+                            .to_owned(),
+                    });
+                }
+            }
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    first_err.map_or(Ok(()), Err)
 }
 
 /// Validates and applies one shard's round reply: every slot must fall
@@ -1267,9 +1116,9 @@ fn build_model(spec: &ModelSpec) -> Result<Sequential> {
 /// Builds and handshakes the shard's client fleet from its config:
 /// the *global* data partition re-derived and sub-ranged (so every
 /// client's local dataset is bit-identical to the flat reference),
-/// global client ids, all-TrustZone devices, plain SGD trainers, and the
-/// fault wrapper installed before the handshake exactly as
-/// `wire_fleet` does in-process.
+/// global client ids, all-TrustZone devices, plain SGD trainers, wired by
+/// the in-process runner's own `wire_fleet` (fault wrapper installed
+/// before the handshake).
 fn wire_shard(config: &ShardConfig) -> Result<ShardState> {
     if config.range_start > config.range_end || config.range_end > config.total_clients {
         return Err(FlError::BadConfig {
@@ -1289,14 +1138,14 @@ fn wire_shard(config: &ShardConfig) -> Result<ShardState> {
     let mut prototype = build_model(&config.model)?;
     prototype.set_backend(backend);
     prototype.set_weights(&config.init_weights)?;
-    // The *global* partition derivation, identical to the in-process
-    // runners — every shard computes the full fleet's shards and keeps
+    // The *global* partition derivation, identical to an in-process
+    // fleet's — every shard computes the full fleet's shards and keeps
     // only its range, so per-client data is layout-independent.
     let partition_kind =
         PartitionKind::parse(&config.partition).ok_or_else(|| FlError::BadConfig {
             reason: format!("unknown partition kind {:?}", config.partition),
         })?;
-    let mut partition = crate::runner::partition_dataset(
+    let mut partition = partition_dataset(
         dataset.as_ref(),
         config.total_clients as usize,
         partition_kind,
@@ -1309,33 +1158,36 @@ fn wire_shard(config: &ShardConfig) -> Result<ShardState> {
     // an observability artifact, and colluders train honestly, so its
     // absence cannot perturb the committed weights.
     let adversaries = config.adversaries.clone().map(Arc::new);
-    let mut remotes = Vec::with_capacity((config.range_end - config.range_start) as usize);
-    for g in config.range_start..config.range_end {
-        let shard_data = std::mem::take(&mut partition[g as usize]);
-        let mut client = FlClient::new(
-            g,
-            DeviceProfile::trustzone(g),
-            dataset.clone(),
-            shard_data,
-            prototype.replicate(),
-            Box::new(PlainSgdTrainer),
-        );
-        if let Some(plan) = &adversaries {
-            if let Some(persona) = plan.persona_of(g) {
-                client.set_adversary(Adversary {
-                    persona,
-                    plan: plan.clone(),
-                    log: None,
-                });
+    let fleet = (config.range_start..config.range_end)
+        .map(|g| {
+            let mut client = FlClient::new(
+                g,
+                DeviceProfile::trustzone(g),
+                dataset.clone(),
+                std::mem::take(&mut partition[g as usize]),
+                prototype.replicate(),
+                Box::new(PlainSgdTrainer),
+            );
+            if let Some(plan) = &adversaries {
+                if let Some(persona) = plan.persona_of(g) {
+                    client.set_adversary(Adversary {
+                        persona,
+                        plan: plan.clone(),
+                        log: None,
+                    });
+                }
             }
-        }
-        let endpoint: Box<dyn ServerEndpoint> = Box::new(LocalEndpoint::new(client));
-        let endpoint: Box<dyn ServerEndpoint> = match &faults {
-            Some(plan) => Box::new(FaultyEndpoint::new(endpoint, plan.clone())),
-            None => endpoint,
-        };
-        remotes.push(RemoteClient::connect_with(endpoint, codec)?);
-    }
+            client
+        })
+        .collect();
+    // Wired exactly as an in-process fleet is, fault wrapper included.
+    let (remotes, _) = wire_fleet(
+        fleet,
+        TransportKind::InProcess,
+        &MuxOptions::default(),
+        faults.as_ref(),
+        codec,
+    )?;
     Ok(ShardState {
         remotes,
         engine: ExecutionEngine::new(config.workers as usize),

@@ -345,10 +345,10 @@ impl ExecutionEngine {
     /// indices. Because every shard's execution is independently
     /// deterministic (fault decisions included) and results stay keyed by
     /// shard + slot, the concatenated outcome is bit-identical to running
-    /// the shards one after another — which is how [`ShardedFederation`]
-    /// reproduces an unsharded round exactly.
+    /// the shards one after another — which is how a sharded
+    /// [`Federation`] reproduces an unsharded round exactly.
     ///
-    /// [`ShardedFederation`]: crate::runner::ShardedFederation
+    /// [`Federation`]: crate::runner::Federation
     ///
     /// # Errors
     ///

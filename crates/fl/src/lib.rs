@@ -19,12 +19,12 @@
 //!    ([`aggregate`]) and the global snapshot history is recorded for the
 //!    long-term DPIA attacker ([`history`]).
 //!
-//! Rounds run on a flat fleet ([`runner::Federation`]); for 10⁴+
-//! simulated clients, on a fleet partitioned across independent engine
-//! shards ([`runner::ShardedFederation`]); or across real OS processes,
-//! with a [`distributed::DistributedCoordinator`] driving `shard-server`
-//! children over the envelope protocol — same results bit-for-bit,
-//! scaled-out wall clock. Imperfect fleets — stragglers, dropouts,
+//! Rounds run on one runner, [`runner::Federation`]: over a flat fleet;
+//! for 10⁴+ simulated clients, over a fleet partitioned across
+//! independent engine shards; or across real OS processes, launched by a
+//! [`distributed::DistributedBuilder`] with `shard-server` children
+//! speaking the envelope protocol — same results bit-for-bit, scaled-out
+//! wall clock. Imperfect fleets — stragglers, dropouts,
 //! crashes, lossy links — are simulated by the seeded, deterministic
 //! [`faults`] layer, with over-provisioned selection keeping faulted
 //! rounds aggregating a full cohort. Hostile fleets — update poisoners,
@@ -89,11 +89,10 @@ pub use adversary::{Adversary, AdversaryPlan, CollusionLog, Persona, ReputationB
 pub use aggregate::Aggregator;
 pub use codec::CodecKind;
 pub use config::{MuxOptions, PartitionKind, ShardLayout, TransportKind};
-pub use distributed::DistributedCoordinator;
+pub use distributed::DistributedBuilder;
 pub use engine::{ClientOutcome, ExecutionEngine};
 pub use error::FlError;
 pub use faults::{FaultPlan, FaultyEndpoint, LatencyModel};
-pub use runner::ShardedFederation;
 pub use scheduler::ProtectionScheduler;
 pub use transport::{ClientEndpoint, RemoteClient, ServerEndpoint};
 

@@ -1,25 +1,27 @@
 //! Federation orchestration: wiring server and clients through rounds.
 //!
-//! The round exchange is driven exclusively through
-//! [`transport`](crate::transport) endpoints: the builder assembles the
-//! client fleet, wires each client onto the configured
-//! [`TransportKind`] (zero-copy in-process dispatch by default; loopback
-//! TCP with one service thread per client; or multiplexed loopback TCP
-//! with the whole fleet served by a small event-loop pool), handshakes
-//! every endpoint, and hands the resulting [`RemoteClient`]s to the
-//! server and engine. The same protocol bytes flow every way, so reports
-//! are bit-identical across transports.
+//! [`Federation`] is the one runner. It owns the [`FlServer`], a
+//! contiguous [`ShardLayout`] over the fleet, and the fleet itself, which
+//! lives in one of two places:
 //!
-//! Two runners share that machinery:
+//! * **In this process.** The builder assembles the clients, wires each
+//!   onto the configured [`TransportKind`] (zero-copy in-process dispatch
+//!   by default; loopback TCP with one service thread per client; or
+//!   multiplexed loopback TCP served by a small event-loop pool) and
+//!   handshakes every endpoint. Each round the flat client list is cut
+//!   along the layout and every shard runs its picks on its own
+//!   [`ExecutionEngine`] pool.
+//! * **In shard-server processes**, launched by
+//!   [`DistributedBuilder`](crate::distributed::DistributedBuilder): each
+//!   layout shard is a child process reached over one envelope channel
+//!   (see [`crate::distributed`]).
 //!
-//! * [`Federation`] — one flat fleet on one [`ExecutionEngine`].
-//! * [`ShardedFederation`] — the fleet partitioned into contiguous
-//!   [`ShardLayout`] shards, each running its selected clients on its own
-//!   engine instance, with per-shard ledgers and [`PartialAggregate`]s
-//!   merged into one global round report. Screening walks shards in
-//!   global client order and the merge restores canonical selection
-//!   order, so for any `(shards, workers)` combination the report and
-//!   final weights are bit-identical to the flat run.
+//! Either way a round is the same loop: draw the screening plan, screen
+//! the candidates, sample, build the download, execute, and commit through
+//! one path. Screening walks candidates in global client order, and the
+//! per-shard outcomes concatenate back into canonical selection order, so
+//! for any `(shards, workers, transport, processes)` combination the
+//! report and final weights are bit-identical to the flat run.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,9 +39,12 @@ use crate::aggregate::{Aggregator, PartialAggregate};
 use crate::client::{DeviceProfile, FlClient};
 use crate::codec::CodecKind;
 use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
+use crate::distributed::{self, ShardSlot};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::{FaultPlan, FaultyEndpoint};
+use crate::message::ModelDownload;
 use crate::scheduler::{NoProtection, ProtectionScheduler};
+use crate::selection::{screen_planned, ScreenPlan, ScreeningOutcome};
 use crate::server::FlServer;
 use crate::trainer::{LocalTrainer, PlainSgdTrainer};
 use crate::transport::inprocess::LocalEndpoint;
@@ -275,7 +280,7 @@ impl FederationBuilder {
     /// client replica — and every per-worker copy the engine makes from
     /// those — trains through the same kernels on every shard and
     /// transport. Defaults to the `GRADSEC_BACKEND` environment variable
-    /// (`reference`/`blocked`), falling back to
+    /// (`reference`/`blocked`/`tiled`), falling back to
     /// [`BackendKind::Reference`], the bit-identical-to-seed kernels.
     /// Runs are bit-identical *within* a backend for any
     /// `(shards, workers, transport)` combination; switching backends
@@ -301,9 +306,9 @@ impl FederationBuilder {
     }
 
     /// Partitions the fleet into `shards` contiguous engine shards
-    /// (clamped to the client count; defaults to 1). Build the result
-    /// with [`build_sharded`](Self::build_sharded) — sharding changes
-    /// wall-clock scaling, never results.
+    /// (clamped to the client count; defaults to 1), each running its
+    /// picks on its own engine pool — sharding changes wall-clock
+    /// scaling, never results.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -361,72 +366,16 @@ impl FederationBuilder {
         self
     }
 
-    /// Assembles a flat (single-shard) federation: builds the fleet,
-    /// wires it onto the configured transport and handshakes every
-    /// endpoint.
+    /// Assembles the federation: builds the fleet, wires it onto the
+    /// configured transport, handshakes every endpoint and lays the
+    /// configured shards over it.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::BadConfig`] when the model factory or dataset is
-    /// missing, the plan is invalid, or a shard count above 1 was
-    /// configured (use [`build_sharded`](Self::build_sharded)); transport/
-    /// handshake failures propagate as
-    /// [`FlError::Transport`]/[`FlError::Protocol`].
+    /// missing or the plan is invalid; transport/handshake failures
+    /// propagate as [`FlError::Transport`]/[`FlError::Protocol`].
     pub fn build(self) -> Result<Federation> {
-        if self.shards > 1 {
-            return Err(FlError::BadConfig {
-                reason: format!(
-                    "builder configured {} shards; use build_sharded()",
-                    self.shards
-                ),
-            });
-        }
-        let fleet = self.assemble()?;
-        Ok(Federation {
-            server: fleet.server,
-            clients: fleet.clients,
-            scheduler: fleet.scheduler,
-            engine: fleet.engine,
-            sessions: fleet.sessions,
-            faults: fleet.faults,
-            aggregator: fleet.aggregator,
-            collusion: fleet.collusion,
-        })
-    }
-
-    /// Assembles a sharded federation: the same fleet, wired the same
-    /// way, then partitioned into the configured number of contiguous
-    /// shards. `shards(1)` (the default) yields a one-shard federation
-    /// whose rounds are bit-identical to [`build`](Self::build)'s.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build), minus the shard-count
-    /// restriction.
-    pub fn build_sharded(self) -> Result<ShardedFederation> {
-        let shards = self.shards;
-        let fleet = self.assemble()?;
-        let mut clients = fleet.clients;
-        let layout = ShardLayout::new(clients.len(), shards);
-        let mut fleet_shards = Vec::with_capacity(layout.num_shards());
-        for s in 0..layout.num_shards() {
-            let rest = clients.split_off(layout.range(s).len());
-            fleet_shards.push(std::mem::replace(&mut clients, rest));
-        }
-        Ok(ShardedFederation {
-            server: fleet.server,
-            shards: fleet_shards,
-            layout,
-            scheduler: fleet.scheduler,
-            engine: fleet.engine,
-            sessions: fleet.sessions,
-            faults: fleet.faults,
-            aggregator: fleet.aggregator,
-            collusion: fleet.collusion,
-        })
-    }
-
-    fn assemble(self) -> Result<AssembledFleet> {
         let model_factory = self.model_factory.ok_or_else(|| FlError::BadConfig {
             reason: "model factory not set".to_owned(),
         })?;
@@ -446,7 +395,7 @@ impl FederationBuilder {
             plan.validate()?;
         }
         self.aggregator.validate()?;
-        let shards = partition_dataset(
+        let data_shards = partition_dataset(
             dataset.as_ref(),
             self.devices.len(),
             self.partition,
@@ -465,7 +414,7 @@ impl FederationBuilder {
         let fleet: Vec<FlClient> = self
             .devices
             .into_iter()
-            .zip(shards)
+            .zip(data_shards)
             .enumerate()
             .map(|(i, (device, shard))| {
                 let mut client = FlClient::new(
@@ -501,10 +450,10 @@ impl FederationBuilder {
             self.faults.as_ref(),
             self.codec,
         )?;
-        Ok(AssembledFleet {
+        Ok(Federation {
             server,
-            clients,
-            sessions,
+            layout: ShardLayout::new(clients.len(), self.shards),
+            fleet: Fleet::InProcess { clients, sessions },
             scheduler: self.scheduler,
             engine: self.engine,
             faults: self.faults,
@@ -534,22 +483,9 @@ pub(crate) fn partition_dataset(
     }
 }
 
-/// Everything `assemble` produces: the handshaken fleet plus the run
-/// configuration the builder carried.
-struct AssembledFleet {
-    server: FlServer,
-    clients: Vec<RemoteClient>,
-    sessions: SessionBackend,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    engine: ExecutionEngine,
-    faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
-    collusion: Option<Arc<CollusionLog>>,
-}
-
 /// The client-side machinery a socket-backed transport left running
 /// behind the handshaken endpoints — whatever teardown must reap.
-enum SessionBackend {
+pub(crate) enum SessionBackend {
     /// Thread-per-client service threads ([`TransportKind::Tcp`]); each
     /// returns its `FlClient` when the session ends. The in-process
     /// transport leaves this empty.
@@ -559,6 +495,27 @@ enum SessionBackend {
     Mux(MuxFleet),
 }
 
+impl SessionBackend {
+    /// Surfaces a client session that ended before the fleet finished
+    /// connecting (a clean early exit is not an error).
+    fn early_failure(&mut self) -> Result<()> {
+        match self {
+            SessionBackend::Threads(handles) => {
+                let Some(dead) = handles.iter().position(JoinHandle::is_finished) else {
+                    return Ok(());
+                };
+                match handles.remove(dead).join() {
+                    Ok(outcome) => outcome.map(drop),
+                    Err(_) => Err(FlError::Protocol {
+                        reason: "client session thread panicked".to_owned(),
+                    }),
+                }
+            }
+            SessionBackend::Mux(fleet) => fleet.take_early_error().map_or(Ok(()), Err),
+        }
+    }
+}
+
 /// Wires a built fleet onto `transport`, returning the handshaken
 /// endpoints (id-ordered) plus the client-side session backend to reap
 /// at teardown. With a fault plan, every endpoint — whatever the
@@ -566,7 +523,7 @@ enum SessionBackend {
 /// transport faults inject identically over in-process pipes, threaded
 /// sockets and multiplexed sockets (the fault layer lives server-side,
 /// above the pipe).
-fn wire_fleet(
+pub(crate) fn wire_fleet(
     fleet: Vec<FlClient>,
     transport: TransportKind,
     mux: &MuxOptions,
@@ -587,85 +544,48 @@ fn wire_fleet(
                 .collect::<Result<Vec<_>>>()?;
             Ok((remotes, SessionBackend::Threads(Vec::new())))
         }
-        TransportKind::Tcp => {
+        TransportKind::Tcp | TransportKind::TcpMux => {
             let listener = tcp::bind(("127.0.0.1", 0))?;
             let addr = listener.local_addr()?;
             let n = fleet.len();
-            // Every session thread connects at once; outgrow the std
-            // 128-slot backlog before the SYN storm starts.
+            // Every session connects at once — a thread per client, or each
+            // event loop's whole share before it starts polling; outgrow
+            // the std 128-slot backlog before the SYN storm so no connect
+            // lands in kernel retry backoff.
             listener.deepen_backlog(n as u32 + 128);
-            let mut sessions: Vec<JoinHandle<Result<FlClient>>> = fleet
-                .into_iter()
-                .map(|client| {
-                    std::thread::spawn(move || {
-                        let endpoint = tcp::connect(addr)?;
-                        ClientSession::new(client, endpoint).serve()
-                    })
-                })
-                .collect();
-            // Poll for the n connections rather than blocking in accept:
-            // a session thread that failed to connect would otherwise
-            // leave build() waiting forever for a connection that will
-            // never arrive.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            let mut remotes = Vec::with_capacity(n);
-            while remotes.len() < n {
-                match listener.try_accept()? {
-                    Some(endpoint) => {
-                        remotes.push(RemoteClient::connect_with(wrap(Box::new(endpoint)), codec)?)
-                    }
-                    None => {
-                        if let Some(dead) = sessions.iter().position(JoinHandle::is_finished) {
-                            let outcome = sessions.remove(dead).join();
-                            let reason = match outcome {
-                                Ok(Ok(_)) => continue, // clean early exit; keep accepting
-                                Ok(Err(e)) => return Err(e),
-                                Err(_) => "client session thread panicked".to_owned(),
-                            };
-                            return Err(FlError::Protocol { reason });
-                        }
-                        if std::time::Instant::now() > deadline {
-                            return Err(FlError::disconnected(
-                                "waiting for client connections during federation build",
-                            ));
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-            }
-            // Connections are accepted in arrival order; the handshake
-            // told us who is who, so restore fleet order by id.
-            remotes.sort_by_key(RemoteClient::id);
-            Ok((remotes, SessionBackend::Threads(sessions)))
-        }
-        TransportKind::TcpMux => {
-            let listener = tcp::bind(("127.0.0.1", 0))?;
-            let addr = listener.local_addr()?;
-            let n = fleet.len();
-            // The event loops connect their whole share before the
-            // accepts below drain anything; outgrow the 128-slot
-            // backlog so no connect lands in kernel retry backoff.
-            listener.deepen_backlog(n as u32 + 128);
-            let fleet_handle = MuxFleet::launch(addr, fleet, mux)?;
-            // Accept ALL n connections before handshaking any of them.
-            // The event loops connect their whole share before they start
+            let mut sessions = if transport == TransportKind::Tcp {
+                SessionBackend::Threads(
+                    fleet
+                        .into_iter()
+                        .map(|client| {
+                            std::thread::spawn(move || {
+                                let endpoint = tcp::connect(addr)?;
+                                ClientSession::new(client, endpoint).serve()
+                            })
+                        })
+                        .collect(),
+                )
+            } else {
+                SessionBackend::Mux(MuxFleet::launch(addr, fleet, mux)?)
+            };
+            // Accept ALL n connections before handshaking any of them. The
+            // mux event loops connect their whole share before they start
             // polling, so a handshake attempted early would block on a
             // session nobody is serving yet — while the un-accepted
             // remainder overflows the listener backlog and stalls the
-            // loops' own connects: a deadlock. Draining the backlog first
-            // breaks the cycle.
+            // loops' own connects: a deadlock. Poll rather than block in
+            // accept, so a session that died before connecting fails the
+            // build instead of leaving it waiting forever.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
             let mut endpoints = Vec::with_capacity(n);
             while endpoints.len() < n {
                 match listener.try_accept()? {
                     Some(endpoint) => endpoints.push(endpoint),
                     None => {
-                        if let Some(e) = fleet_handle.take_early_error() {
-                            return Err(e);
-                        }
+                        sessions.early_failure()?;
                         if std::time::Instant::now() > deadline {
                             return Err(FlError::disconnected(
-                                "waiting for mux client connections during federation build",
+                                "waiting for client connections during federation build",
                             ));
                         }
                         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -676,29 +596,114 @@ fn wire_fleet(
                 .into_iter()
                 .map(|endpoint| RemoteClient::connect_with(wrap(Box::new(endpoint)), codec))
                 .collect::<Result<Vec<_>>>()?;
+            // Connections are accepted in arrival order; the handshake
+            // told us who is who, so restore fleet order by id.
             remotes.sort_by_key(RemoteClient::id);
-            Ok((remotes, SessionBackend::Mux(fleet_handle)))
+            Ok((remotes, sessions))
+        }
+    }
+}
+
+/// Where a federation's clients live.
+pub(crate) enum Fleet {
+    /// Every client in this process, id-ordered behind its transport
+    /// endpoint, plus whatever session machinery teardown must reap.
+    InProcess {
+        clients: Vec<RemoteClient>,
+        sessions: SessionBackend,
+    },
+    /// One shard-server child process per layout shard.
+    Processes(Vec<ShardSlot>),
+}
+
+impl Fleet {
+    /// Screens the plan's candidates, returning verdicts index-aligned
+    /// with them.
+    fn screen(
+        &mut self,
+        layout: &ShardLayout,
+        plan: &ScreenPlan,
+        expected: Measurement,
+    ) -> Vec<ScreeningOutcome> {
+        match self {
+            Fleet::InProcess { clients, .. } => screen_planned(clients, plan, expected),
+            Fleet::Processes(shards) => distributed::screen(shards, layout, plan, expected),
+        }
+    }
+
+    /// Runs the picked clients' cycles shard by shard, returning the
+    /// outcomes in `picked` order, the merged ledger, and whether a whole
+    /// shard cohort was lost (which makes the round fault-tolerant).
+    fn execute(
+        &mut self,
+        layout: &ShardLayout,
+        engine: &ExecutionEngine,
+        picked: &[usize],
+        download: &ModelDownload,
+        faults: Option<&FaultPlan>,
+    ) -> Result<(Vec<ClientOutcome>, RoundLedger, bool)> {
+        let clients = match self {
+            Fleet::InProcess { clients, .. } => clients,
+            Fleet::Processes(shards) => {
+                return Ok(distributed::execute(shards, layout, picked, download))
+            }
+        };
+        let mut rest = clients.as_mut_slice();
+        let mut jobs = Vec::with_capacity(layout.num_shards());
+        for (s, picks) in layout.split_picks(picked).into_iter().enumerate() {
+            let (shard, tail) = std::mem::take(&mut rest).split_at_mut(layout.range(s).len());
+            jobs.push((shard, picks));
+            rest = tail;
+        }
+        // Outcomes concatenate in shard order, which — the layout being
+        // contiguous — restores the canonical global selection order;
+        // ledgers fold id-sorted.
+        let mut per_shard = engine
+            .execute_shards_with(jobs, download, faults)?
+            .into_iter();
+        let (mut outcomes, mut ledger) = per_shard.next().unwrap_or_default();
+        for (shard_outcomes, shard_ledger) in per_shard {
+            outcomes.extend(shard_outcomes);
+            ledger.merge(&shard_ledger);
+        }
+        Ok((outcomes, ledger, false))
+    }
+
+    /// Says goodbye to every client (or shard process) and reaps the
+    /// machinery behind them. Idempotent.
+    fn teardown(&mut self) -> Result<()> {
+        match self {
+            Fleet::InProcess { clients, sessions } => {
+                teardown_fleet(std::mem::take(clients), sessions)
+            }
+            Fleet::Processes(shards) => distributed::teardown(shards),
         }
     }
 }
 
 /// A complete federation: one server plus its client fleet, reachable
-/// only through transport endpoints.
+/// only through transport endpoints or shard-server processes.
+///
+/// Built by [`FederationBuilder::build`] (fleet in this process) or
+/// [`DistributedBuilder::launch`](crate::distributed::DistributedBuilder::launch)
+/// (fleet in shard-server processes); both run the same round loop.
 pub struct Federation {
-    server: FlServer,
-    clients: Vec<RemoteClient>,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    engine: ExecutionEngine,
-    sessions: SessionBackend,
-    faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
-    collusion: Option<Arc<CollusionLog>>,
+    pub(crate) server: FlServer,
+    pub(crate) layout: ShardLayout,
+    pub(crate) fleet: Fleet,
+    pub(crate) scheduler: Arc<dyn ProtectionScheduler>,
+    pub(crate) engine: ExecutionEngine,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    pub(crate) aggregator: Aggregator,
+    pub(crate) collusion: Option<Arc<CollusionLog>>,
 }
 
 impl std::fmt::Debug for Federation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Federation")
-            .field("clients", &self.clients.len())
+            .field("shards", &self.layout.num_shards())
+            .field("clients", &self.layout.num_clients())
+            .field("processes", &matches!(self.fleet, Fleet::Processes(_)))
             .field("round", &self.server.round())
             .finish()
     }
@@ -715,14 +720,36 @@ impl Federation {
         &self.server
     }
 
-    /// The clients' endpoint handles.
+    /// The in-process clients' endpoint handles (empty when the fleet
+    /// lives in shard-server processes).
     pub fn clients(&self) -> &[RemoteClient] {
-        &self.clients
+        match &self.fleet {
+            Fleet::InProcess { clients, .. } => clients,
+            Fleet::Processes(_) => &[],
+        }
     }
 
     /// Mutable endpoint access (tests drive exchanges through this).
     pub fn clients_mut(&mut self) -> &mut [RemoteClient] {
-        &mut self.clients
+        match &mut self.fleet {
+            Fleet::InProcess { clients, .. } => clients,
+            Fleet::Processes(_) => &mut [],
+        }
+    }
+
+    /// The shard layout.
+    pub fn layout(&self) -> &ShardLayout {
+        &self.layout
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.layout.num_shards()
+    }
+
+    /// Total clients across all shards.
+    pub fn num_clients(&self) -> usize {
+        self.layout.num_clients()
     }
 
     /// The configured protection scheduler.
@@ -730,31 +757,61 @@ impl Federation {
         &self.scheduler
     }
 
-    /// The configured execution engine.
+    /// The configured execution engine (each shard runs its own pool of
+    /// this size).
     pub fn engine(&self) -> ExecutionEngine {
         self.engine
     }
 
     /// The colluding coalition's observation log, present when an
-    /// adversarial scenario is installed (empty until a colluder
-    /// participates in a round).
+    /// adversarial scenario is installed on an in-process fleet (empty
+    /// until a colluder participates in a round).
     pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
         self.collusion.as_ref()
     }
 
-    /// Runs one FL cycle with the builder-configured engine.
+    /// Whether shard `s` can still serve rounds: always for an in-process
+    /// shard, while its process stays connected for a shard-server one.
+    pub fn shard_alive(&self, s: usize) -> bool {
+        match &self.fleet {
+            Fleet::InProcess { .. } => s < self.layout.num_shards(),
+            Fleet::Processes(shards) => shards.get(s).is_some_and(ShardSlot::alive),
+        }
+    }
+
+    /// Total envelope bytes `(sent, received)` across every shard-server
+    /// channel, dead ones included; `(0, 0)` for an in-process fleet.
+    pub fn bytes_on_wire(&self) -> (u64, u64) {
+        match &self.fleet {
+            Fleet::InProcess { .. } => (0, 0),
+            Fleet::Processes(shards) => distributed::bytes_on_wire(shards),
+        }
+    }
+
+    /// Kills shard `s`'s process outright (SIGKILL): the next round bills
+    /// and excludes the shard's cohort rather than failing the federation.
     ///
     /// # Errors
     ///
-    /// Propagates selection, training and aggregation failures.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let engine = self.engine;
-        self.run_round_with(&engine)
+    /// Returns [`FlError::BadConfig`] for an in-process fleet or an
+    /// unknown shard, and [`FlError::Transport`] when the kill fails.
+    pub fn kill_shard(&mut self, s: usize) -> Result<()> {
+        match &mut self.fleet {
+            Fleet::InProcess { .. } => Err(FlError::BadConfig {
+                reason: format!("cannot kill shard {s}: the fleet runs in-process"),
+            }),
+            Fleet::Processes(shards) => shards
+                .get_mut(s)
+                .ok_or(FlError::BadConfig {
+                    reason: format!("no shard {s}"),
+                })?
+                .kill(s),
+        }
     }
 
-    /// Runs one FL cycle — select → download → local train (fanned out by
-    /// `engine` over the endpoints) → aggregate — and merges the TEE
-    /// accounting carried on the uploads into the round ledger.
+    /// Runs one FL cycle — screen → sample → download → execute (every
+    /// shard concurrently) → aggregate — and merges the TEE accounting
+    /// carried on the uploads into the round ledger.
     ///
     /// # Errors
     ///
@@ -762,173 +819,151 @@ impl Federation {
     /// fault plan, when several clients fail in one round the error of the
     /// earliest client in selection order is returned; with one, failures
     /// and stragglers are tolerated and recorded on the report as long as
-    /// at least one update commits.
-    pub fn run_round_with(&mut self, engine: &ExecutionEngine) -> Result<RoundReport> {
+    /// at least one update commits. A lost shard process is tolerated the
+    /// same way, fault plan or not.
+    pub fn run_round(&mut self) -> Result<RoundReport> {
         let round = self.server.round();
-        let picked = self.server.select(&mut self.clients)?;
+        let plan = self.server.screen_plan(self.layout.num_clients());
+        let verdicts = self
+            .fleet
+            .screen(&self.layout, &plan, self.server.expected_measurement());
+        let picked = self.server.sample_screened(&plan, &verdicts)?;
         // Clamp the scheduler's draw to the global model's depth — a
         // policy configured for a deeper network shelters what exists
-        // rather than failing the round (the semantics the old
-        // closure hook had via `protected_for_round(round, n_layers)`).
+        // rather than failing the round.
         let n_layers = self.server.global().num_layers();
         let mut protected = self.scheduler.layers_for_round(round);
         protected.retain(|&l| l < n_layers);
         let download = self.server.download(protected.clone());
-        let (outcomes, ledger) = engine.execute_cycles_with(
-            &mut self.clients,
+        let (outcomes, ledger, cohort_failed) = self.fleet.execute(
+            &self.layout,
+            &self.engine,
             &picked,
             &download,
             self.faults.as_deref(),
         )?;
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
-            outcomes,
-            ledger,
-            protected,
-            self.faults.is_some(),
-            self.aggregator,
-        )
+        let tolerate = self.faults.is_some() || cohort_failed;
+        self.finish_round(round, picked, outcomes, ledger, protected, tolerate)
     }
 
-    /// Runs the full plan with the builder-configured engine.
+    /// Runs the full plan.
     ///
     /// # Errors
     ///
     /// Propagates round failures.
     pub fn run(&mut self) -> Result<FederationReport> {
-        let engine = self.engine;
-        self.run_with(&engine)
-    }
-
-    /// Runs the full plan through `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run_with(&mut self, engine: &ExecutionEngine) -> Result<FederationReport> {
         let mut report = FederationReport::default();
         for _ in 0..self.server.plan().rounds {
-            let r = self.run_round_with(engine)?;
+            let r = self.run_round()?;
             report.rounds.push(r);
             report.rounds_completed += 1;
         }
         Ok(report)
     }
 
-    /// Tears the fleet down: says goodbye over every endpoint and joins
-    /// any client service threads. Called automatically on drop (best
-    /// effort); call explicitly to observe teardown errors.
+    /// Tears the fleet down: says goodbye over every endpoint (or shard
+    /// channel) and joins the client service threads (or waits for the
+    /// shard processes). Called automatically on drop (best effort); call
+    /// explicitly to observe teardown errors.
     ///
     /// # Errors
     ///
-    /// Returns the first goodbye/join failure encountered.
+    /// Returns the first goodbye/join failure encountered (deliberately
+    /// killed shards excepted).
     pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
+        self.fleet.teardown()
     }
 
-    fn teardown(&mut self) -> Result<()> {
-        teardown_fleet(std::mem::take(&mut self.clients), &mut self.sessions)
+    /// Commits one executed round: walks the outcomes in canonical
+    /// (selection) order, aggregates the first `clients_per_round`
+    /// completed updates, classifies the rest into surplus/straggler/
+    /// failure groups and installs the new global model.
+    ///
+    /// Without fault tolerance any failed outcome fails the round with the
+    /// earliest failure in selection order — the strict contract healthy
+    /// fleets always had. With tolerance, failures and stragglers are
+    /// merely recorded, and the round only errors when *no* update
+    /// committed.
+    fn finish_round(
+        &mut self,
+        round: u64,
+        picked: Vec<usize>,
+        outcomes: Vec<ClientOutcome>,
+        ledger: RoundLedger,
+        protected: Vec<usize>,
+        tolerate: bool,
+    ) -> Result<RoundReport> {
+        let k = self.server.plan().clients_per_round;
+        let mut agg = PartialAggregate::new();
+        let mut participants = Vec::new();
+        let mut surplus = Vec::new();
+        let mut stragglers = Vec::new();
+        let mut failures = Vec::new();
+        let mut first_err: Option<FlError> = None;
+        for (slot, (outcome, &ci)) in outcomes.into_iter().zip(picked.iter()).enumerate() {
+            match outcome {
+                ClientOutcome::Completed(upload) => {
+                    if participants.len() < k {
+                        agg.push(slot, upload);
+                        participants.push(ci);
+                    } else {
+                        surplus.push(ci);
+                    }
+                }
+                ClientOutcome::Straggler { .. } => stragglers.push(ci),
+                ClientOutcome::Failed { error, .. } => {
+                    failures.push(ci);
+                    first_err.get_or_insert(error);
+                }
+            }
+        }
+        if !tolerate {
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+        }
+        if participants.is_empty() {
+            // Prefer the earliest concrete failure; a collapse with no
+            // failure at all means every survivor straggled — name that
+            // rather than misdiagnosing it as a selection problem.
+            return Err(first_err.unwrap_or(FlError::RoundCollapsed {
+                round,
+                stragglers: stragglers.len(),
+                failures: failures.len(),
+            }));
+        }
+        // Robust variants need the previous global as a reference point
+        // (norm clipping measures drift against it).
+        let outcome = agg.finish_with(self.aggregator, Some(self.server.global()))?;
+        // Reputation accrues from outcome history: committed updates earn
+        // credit, shed ones (stragglers and failures alike) earn debit. A
+        // no-op unless a `ReputationBook` is installed on the server.
+        let completed: Vec<usize> = participants.iter().chain(surplus.iter()).copied().collect();
+        let shed: Vec<usize> = stragglers.iter().chain(failures.iter()).copied().collect();
+        self.server.note_round_outcomes(&completed, &shed);
+        self.server.commit(outcome.weights);
+        Ok(RoundReport {
+            round,
+            participants,
+            surplus,
+            stragglers,
+            failures,
+            mean_loss: outcome.mean_loss,
+            protected_layers: protected,
+            ledger,
+        })
     }
 }
 
 impl Drop for Federation {
     fn drop(&mut self) {
-        let _ = self.teardown();
+        let _ = self.fleet.teardown();
     }
-}
-
-/// Commits one executed round: walks the outcomes in canonical
-/// (selection) order, aggregates the first `clients_per_round` completed
-/// updates, classifies the rest into surplus/straggler/failure groups and
-/// installs the new global model. Both runners bottom out here — sharing
-/// the commit path is part of the flat/sharded bit-identity guarantee.
-///
-/// Without fault tolerance (`tolerate == false`, no fault plan
-/// configured) any failed outcome fails the round with the earliest
-/// failure in selection order — the strict contract healthy fleets always
-/// had. With tolerance, failures and stragglers are merely recorded, and
-/// the round only errors when *no* update committed.
-#[allow(clippy::too_many_arguments)] // the round's full classification context, one commit path
-pub(crate) fn finish_round(
-    server: &mut FlServer,
-    round: u64,
-    picked: Vec<usize>,
-    outcomes: Vec<ClientOutcome>,
-    ledger: RoundLedger,
-    protected: Vec<usize>,
-    tolerate: bool,
-    aggregator: Aggregator,
-) -> Result<RoundReport> {
-    let k = server.plan().clients_per_round;
-    let mut agg = PartialAggregate::new();
-    let mut participants = Vec::new();
-    let mut surplus = Vec::new();
-    let mut stragglers = Vec::new();
-    let mut failures = Vec::new();
-    let mut first_err: Option<FlError> = None;
-    for (slot, (outcome, &ci)) in outcomes.into_iter().zip(picked.iter()).enumerate() {
-        match outcome {
-            ClientOutcome::Completed(upload) => {
-                if participants.len() < k {
-                    agg.push(slot, upload);
-                    participants.push(ci);
-                } else {
-                    surplus.push(ci);
-                }
-            }
-            ClientOutcome::Straggler { .. } => stragglers.push(ci),
-            ClientOutcome::Failed { error, .. } => {
-                failures.push(ci);
-                first_err.get_or_insert(error);
-            }
-        }
-    }
-    if !tolerate {
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-    }
-    if participants.is_empty() {
-        // Prefer the earliest concrete failure; a collapse with no
-        // failure at all means every survivor straggled — name that
-        // rather than misdiagnosing it as a selection problem.
-        return Err(first_err.unwrap_or(FlError::RoundCollapsed {
-            round,
-            stragglers: stragglers.len(),
-            failures: failures.len(),
-        }));
-    }
-    // Robust variants need the previous global as a reference point (norm
-    // clipping measures drift against it); the immutable borrow ends
-    // before the commit below takes the server mutably.
-    let outcome = {
-        let reference = server.global();
-        agg.finish_with(aggregator, Some(reference))?
-    };
-    // Reputation accrues from outcome history: committed updates earn
-    // credit, shed ones (stragglers and failures alike) earn debit. A
-    // no-op unless a `ReputationBook` is installed on the server.
-    let completed: Vec<usize> = participants.iter().chain(surplus.iter()).copied().collect();
-    let shed: Vec<usize> = stragglers.iter().chain(failures.iter()).copied().collect();
-    server.note_round_outcomes(&completed, &shed);
-    server.commit(outcome.weights);
-    Ok(RoundReport {
-        round,
-        participants,
-        surplus,
-        stragglers,
-        failures,
-        mean_loss: outcome.mean_loss,
-        protected_layers: protected,
-        ledger,
-    })
 }
 
 /// Says goodbye over every endpoint, *drops* every endpoint, then reaps
 /// the client-side session backend, returning the first failure
-/// encountered (both runners tear down this way).
+/// encountered.
 ///
 /// The order matters: dropping the server-side endpoints closes their
 /// sockets/channels before the joins below, so a session whose goodbye
@@ -969,183 +1004,7 @@ fn teardown_fleet(clients: Vec<RemoteClient>, sessions: &mut SessionBackend) -> 
             }
         }
     }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// A federation whose client fleet is partitioned across independent
-/// engine shards — the scale-out runner for 10⁴+ simulated clients.
-///
-/// One [`FlServer`] still owns the global model, RNG and history; what
-/// shards is the *fleet*: each contiguous [`ShardLayout`] shard holds its
-/// own `Vec<RemoteClient>` and runs its selected clients on its own
-/// [`ExecutionEngine`] worker pool (shards execute concurrently). Per
-/// round the server screens shard-by-shard in global client order,
-/// samples globally, and the per-shard outcomes come back as slot-tagged
-/// [`PartialAggregate`]s plus per-shard [`RoundLedger`]s that merge into
-/// one canonical report — bit-identical to the flat [`Federation`] for
-/// any `(shards, workers)` combination (asserted by
-/// `tests/integration_sharding.rs`).
-pub struct ShardedFederation {
-    server: FlServer,
-    shards: Vec<Vec<RemoteClient>>,
-    layout: ShardLayout,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    engine: ExecutionEngine,
-    sessions: SessionBackend,
-    faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
-    collusion: Option<Arc<CollusionLog>>,
-}
-
-impl std::fmt::Debug for ShardedFederation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedFederation")
-            .field("shards", &self.shards.len())
-            .field("clients", &self.layout.num_clients())
-            .field("round", &self.server.round())
-            .finish()
-    }
-}
-
-impl ShardedFederation {
-    /// The server.
-    pub fn server(&self) -> &FlServer {
-        &self.server
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Number of engine shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total clients across all shards.
-    pub fn num_clients(&self) -> usize {
-        self.layout.num_clients()
-    }
-
-    /// The configured execution engine (each shard runs its own pool of
-    /// this size).
-    pub fn engine(&self) -> ExecutionEngine {
-        self.engine
-    }
-
-    /// The colluding coalition's observation log, present when an
-    /// adversarial scenario is installed (empty until a colluder
-    /// participates in a round).
-    pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
-        self.collusion.as_ref()
-    }
-
-    /// Runs one FL cycle with the builder-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection, training and aggregation failures.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let engine = self.engine;
-        self.run_round_with(&engine)
-    }
-
-    /// Runs one FL cycle — shard-scoped screening, global sampling,
-    /// concurrent per-shard execution, canonical merge — through
-    /// `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection, training and aggregation failures under the
-    /// same tolerance contract as the flat runner: strict without a fault
-    /// plan (earliest failure in selection order fails the round),
-    /// fault-tolerant with one.
-    pub fn run_round_with(&mut self, engine: &ExecutionEngine) -> Result<RoundReport> {
-        let round = self.server.round();
-        let picked = self.server.select_sharded(&mut self.shards)?;
-        let n_layers = self.server.global().num_layers();
-        let mut protected = self.scheduler.layers_for_round(round);
-        protected.retain(|&l| l < n_layers);
-        let download = self.server.download(protected.clone());
-        let local_picks = self.layout.split_picks(&picked);
-        let jobs: Vec<(&mut [RemoteClient], Vec<usize>)> = self
-            .shards
-            .iter_mut()
-            .map(Vec::as_mut_slice)
-            .zip(local_picks)
-            .collect();
-        let per_shard = engine.execute_shards_with(jobs, &download, self.faults.as_deref())?;
-        // Merge: ledgers fold id-sorted; outcomes concatenate in shard
-        // order, which — the layout being contiguous — restores exactly
-        // the canonical global selection order the commit walks.
-        let mut ledger = RoundLedger::new();
-        let mut outcomes = Vec::with_capacity(picked.len());
-        for (shard_outcomes, shard_ledger) in per_shard {
-            outcomes.extend(shard_outcomes);
-            ledger.merge(&shard_ledger);
-        }
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
-            outcomes,
-            ledger,
-            protected,
-            self.faults.is_some(),
-            self.aggregator,
-        )
-    }
-
-    /// Runs the full plan with the builder-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(&mut self) -> Result<FederationReport> {
-        let engine = self.engine;
-        self.run_with(&engine)
-    }
-
-    /// Runs the full plan through `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run_with(&mut self, engine: &ExecutionEngine) -> Result<FederationReport> {
-        let mut report = FederationReport::default();
-        for _ in 0..self.server.plan().rounds {
-            let r = self.run_round_with(engine)?;
-            report.rounds.push(r);
-            report.rounds_completed += 1;
-        }
-        Ok(report)
-    }
-
-    /// Tears the fleet down: says goodbye over every endpoint and joins
-    /// any client service threads. Called automatically on drop (best
-    /// effort); call explicitly to observe teardown errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first goodbye/join failure encountered.
-    pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
-    }
-
-    fn teardown(&mut self) -> Result<()> {
-        let clients: Vec<RemoteClient> = self.shards.drain(..).flatten().collect();
-        teardown_fleet(clients, &mut self.sessions)
-    }
-}
-
-impl Drop for ShardedFederation {
-    fn drop(&mut self) {
-        let _ = self.teardown();
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1199,18 +1058,19 @@ mod tests {
 
     #[test]
     fn parallel_engine_is_bit_identical_to_sequential() {
-        let build = || {
+        let build = |engine: ExecutionEngine| {
             Federation::builder(plan())
                 .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
                 .clients(4, dataset())
+                .engine(engine)
                 .build()
                 .unwrap()
         };
-        let mut seq = build();
-        let seq_report = seq.run_with(&ExecutionEngine::sequential()).unwrap();
+        let mut seq = build(ExecutionEngine::sequential());
+        let seq_report = seq.run().unwrap();
         for workers in [2usize, 4] {
-            let mut par = build();
-            let par_report = par.run_with(&ExecutionEngine::new(workers)).unwrap();
+            let mut par = build(ExecutionEngine::new(workers));
+            let par_report = par.run().unwrap();
             assert_eq!(seq_report, par_report, "{workers}-worker report diverged");
             assert_eq!(
                 seq.server().global(),
@@ -1234,7 +1094,7 @@ mod tests {
                 .clients(5, dataset())
                 .shards(shards)
                 .engine(ExecutionEngine::new(2))
-                .build_sharded()
+                .build()
                 .unwrap();
             assert_eq!(sharded.num_shards(), shards.min(5));
             assert_eq!(sharded.num_clients(), 5);
@@ -1247,6 +1107,27 @@ mod tests {
             );
             sharded.shutdown().unwrap();
         }
+    }
+
+    #[test]
+    fn shard_process_controls_are_inert_on_an_in_process_fleet() {
+        let build = || {
+            Federation::builder(plan())
+                .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
+                .clients(4, dataset())
+                .shards(2)
+                .build()
+                .unwrap()
+        };
+        let mut untouched = build();
+        let mut poked = build();
+        let err = poked.kill_shard(0).unwrap_err();
+        assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+        assert!(poked.shard_alive(0));
+        assert_eq!(poked.bytes_on_wire(), (0, 0));
+        // The refused kill left the fleet exactly as it was.
+        assert_eq!(poked.run_round().unwrap(), untouched.run_round().unwrap());
+        assert_eq!(poked.server().global(), untouched.server().global());
     }
 
     #[test]
@@ -1305,18 +1186,6 @@ mod tests {
             assert!(a.w.approx_eq(&b.w, 1e-2));
             assert!(a.b.approx_eq(&b.b, 1e-2));
         }
-    }
-
-    #[test]
-    fn build_rejects_multi_shard_config() {
-        let err = Federation::builder(plan())
-            .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
-            .clients(4, dataset())
-            .shards(3)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
-        assert!(err.to_string().contains("build_sharded"));
     }
 
     #[test]

@@ -78,6 +78,22 @@ pub fn verify_evidence(
     }
 }
 
+/// Screens the candidates of an already-drawn `plan` over in-process
+/// endpoints (`clients` indexed by global client id) and returns the
+/// verdicts, index-aligned with the plan's candidates. Pure with respect
+/// to the server RNG, like [`screen_one`].
+pub(crate) fn screen_planned(
+    clients: &mut [RemoteClient],
+    plan: &ScreenPlan,
+    expected: Measurement,
+) -> Vec<ScreeningOutcome> {
+    plan.candidates
+        .iter()
+        .zip(plan.challenges.iter())
+        .map(|(&i, ch)| screen_one(&mut clients[i], expected, ch))
+        .collect()
+}
+
 /// Screens every client with a fresh challenge and returns the verdicts,
 /// index-aligned with `clients`.
 ///

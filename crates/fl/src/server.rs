@@ -12,7 +12,7 @@ use crate::config::TrainingPlan;
 use crate::history::SnapshotHistory;
 use crate::message::{ModelDownload, UpdateUpload};
 use crate::selection::{
-    draw_challenge, sample_indices, screen_clients, screen_one, ScreenPlan, ScreeningOutcome,
+    draw_challenge, sample_indices, screen_clients, screen_planned, ScreenPlan, ScreeningOutcome,
 };
 use crate::{FlError, Result};
 
@@ -211,53 +211,13 @@ impl FlServer {
     /// Returns [`FlError::NoEligibleClients`] when nobody passes.
     pub fn select(&mut self, clients: &mut [crate::transport::RemoteClient]) -> Result<Vec<usize>> {
         let plan = self.screen_plan(clients.len());
-        let expected = self.expected_measurement;
-        let outcomes: Vec<ScreeningOutcome> = plan
-            .candidates
-            .iter()
-            .zip(plan.challenges.iter())
-            .map(|(&i, ch)| screen_one(&mut clients[i], expected, ch))
-            .collect();
+        let outcomes = screen_planned(clients, &plan, self.expected_measurement);
         self.sample_screened(&plan, &outcomes)
     }
 
-    /// Screens and samples a *sharded* fleet (Figure 2-➊ at fleet scale).
-    ///
-    /// Candidates are walked in global order, so with the contiguous
-    /// [`ShardLayout`](crate::config::ShardLayout) the server's RNG
-    /// consumes nonces in exactly the global client order — the returned
-    /// pick set (global indices, sorted) is bit-identical to
-    /// [`select`](Self::select) over the flattened fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::NoEligibleClients`] when nobody passes.
-    pub fn select_sharded(
-        &mut self,
-        shards: &mut [Vec<crate::transport::RemoteClient>],
-    ) -> Result<Vec<usize>> {
-        let total = shards.iter().map(Vec::len).sum();
-        let plan = self.screen_plan(total);
-        let mut offsets = Vec::with_capacity(shards.len() + 1);
-        let mut at = 0usize;
-        offsets.push(at);
-        for shard in shards.iter() {
-            at += shard.len();
-            offsets.push(at);
-        }
-        let expected = self.expected_measurement;
-        let outcomes: Vec<ScreeningOutcome> = plan
-            .candidates
-            .iter()
-            .zip(plan.challenges.iter())
-            .map(|(&g, ch)| {
-                // partition_point (not binary_search) so empty shards'
-                // duplicated offsets can never misroute a candidate.
-                let s = offsets.partition_point(|&o| o <= g) - 1;
-                screen_one(&mut shards[s][g - offsets[s]], expected, ch)
-            })
-            .collect();
-        self.sample_screened(&plan, &outcomes)
+    /// The whitelisted TA measurement quotes are verified against.
+    pub(crate) fn expected_measurement(&self) -> Measurement {
+        self.expected_measurement
     }
 
     /// Screens all clients, returning the per-client verdicts (used by
@@ -295,8 +255,8 @@ impl FlServer {
     }
 
     /// Installs an already-aggregated global model — the commit half of
-    /// [`aggregate`](Self::aggregate), used by the sharded runner after
-    /// merging per-shard [`PartialAggregate`]s — records the snapshot and
+    /// [`aggregate`](Self::aggregate), used by the runner after merging
+    /// the round's [`PartialAggregate`]s — records the snapshot and
     /// advances the round counter.
     ///
     /// [`PartialAggregate`]: crate::aggregate::PartialAggregate
@@ -404,6 +364,25 @@ mod tests {
         }
     }
 
+    /// Round-0 participants of a federation over `devices`, its fleet
+    /// cut into `shards` contiguous engine shards.
+    fn sharded_round_picks(
+        devices: Vec<DeviceProfile>,
+        shards: usize,
+        screening_sample: Option<usize>,
+    ) -> Vec<usize> {
+        let mut builder = crate::runner::Federation::builder(plan())
+            .model(|| zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap())
+            .devices(devices, Arc::new(SyntheticCifar100::with_classes(64, 2, 1)))
+            .shards(shards);
+        if let Some(m) = screening_sample {
+            builder = builder.screening_sample(m);
+        }
+        let mut fed = builder.build().unwrap();
+        assert_eq!(fed.num_shards(), shards);
+        fed.run_round().unwrap().participants
+    }
+
     #[test]
     fn sharded_selection_matches_flat_selection() {
         let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
@@ -421,16 +400,8 @@ mod tests {
         let flat_picked = flat_server.select(&mut flat).unwrap();
         // The same fleet cut into contiguous shards consumes the same RNG
         // stream and picks the same global indices.
-        for cuts in [vec![2usize, 3], vec![1, 1, 3], vec![5]] {
-            let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-            let mut clients = make_clients(devices());
-            let mut shards: Vec<Vec<RemoteClient>> = Vec::new();
-            for n in cuts {
-                let rest = clients.split_off(n);
-                shards.push(std::mem::replace(&mut clients, rest));
-            }
-            let picked = server.select_sharded(&mut shards).unwrap();
-            assert_eq!(picked, flat_picked);
+        for shards in [2usize, 3, 5] {
+            assert_eq!(sharded_round_picks(devices(), shards, None), flat_picked);
         }
     }
 
@@ -505,8 +476,9 @@ mod tests {
 
     #[test]
     fn sharded_selection_matches_flat_under_screening_cap() {
-        // The binding cap routes only the sampled candidates to their
-        // shards; the pick set must still match the flat fleet's.
+        // The binding cap screens only the sampled candidates, wherever
+        // their shard sits; the pick set must still match the flat
+        // fleet's.
         let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
         let devices = || {
             (0..8)
@@ -522,17 +494,8 @@ mod tests {
         let mut flat_server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
         flat_server.set_screening_sample(Some(5));
         let flat_picked = flat_server.select(&mut make_clients(devices())).unwrap();
-        for cuts in [vec![4usize, 4], vec![2, 3, 3], vec![8]] {
-            let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-            server.set_screening_sample(Some(5));
-            let mut clients = make_clients(devices());
-            let mut shards: Vec<Vec<RemoteClient>> = Vec::new();
-            for n in cuts {
-                let rest = clients.split_off(n);
-                shards.push(std::mem::replace(&mut clients, rest));
-            }
-            let picked = server.select_sharded(&mut shards).unwrap();
-            assert_eq!(picked, flat_picked);
+        for shards in [2usize, 3, 8] {
+            assert_eq!(sharded_round_picks(devices(), shards, Some(5)), flat_picked);
         }
     }
 

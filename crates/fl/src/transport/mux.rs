@@ -62,7 +62,6 @@ pub struct FrameReassembler {
     header_filled: usize,
     head: Option<EnvelopeHead>,
     payload: Vec<u8>,
-    payload_filled: usize,
 }
 
 impl FrameReassembler {
@@ -99,31 +98,36 @@ impl FrameReassembler {
                     self.header_filled += take;
                     chunk = &chunk[take..];
                     if self.header_filled == ENVELOPE_HEADER_LEN {
-                        let head = parse_envelope_head(&self.header)?;
-                        // This buffer becomes the envelope's owned payload
-                        // (moved out below), not per-frame scratch churn.
-                        self.payload = vec![0u8; head.payload_len];
-                        self.payload_filled = 0;
-                        self.head = Some(head);
+                        self.head = Some(parse_envelope_head(&self.header)?);
                     }
                 }
                 Some(head) => {
-                    if self.payload_filled < head.payload_len {
+                    if self.payload.len() < head.payload_len {
                         if chunk.is_empty() {
                             return Ok(());
                         }
-                        let want = head.payload_len - self.payload_filled;
-                        let take = want.min(chunk.len());
-                        self.payload[self.payload_filled..self.payload_filled + take]
-                            .copy_from_slice(&chunk[..take]);
-                        self.payload_filled += take;
+                        // The buffer grows with the bytes actually
+                        // received, never to the header's announced
+                        // length up front: a hostile header costs what
+                        // its sender sends.
+                        let take = (head.payload_len - self.payload.len()).min(chunk.len());
+                        let need = self.payload.len() + take;
+                        if need > self.payload.capacity() {
+                            // Amortised doubling, capped at the announced
+                            // length so a finished payload is never
+                            // over-allocated.
+                            let target =
+                                need.max(2 * self.payload.capacity()).min(head.payload_len);
+                            self.payload.reserve_exact(target - self.payload.len());
+                        }
+                        self.payload.extend_from_slice(&chunk[..take]);
                         chunk = &chunk[take..];
                     }
                     // Completion is checked whether or not input remains:
                     // a zero-payload frame (Goodbye) whose header ends a
                     // chunk must be emitted *now*, not when the next
                     // chunk arrives — there may never be one.
-                    if self.payload_filled == head.payload_len {
+                    if self.payload.len() == head.payload_len {
                         out.push(Envelope {
                             version: head.version,
                             kind: head.kind,
@@ -131,7 +135,6 @@ impl FrameReassembler {
                         });
                         self.head = None;
                         self.header_filled = 0;
-                        self.payload_filled = 0;
                     }
                 }
             }
@@ -619,6 +622,28 @@ mod tests {
         let mut out = Vec::new();
         let err = rx.feed(&[0u8; ENVELOPE_HEADER_LEN], &mut out).unwrap_err();
         assert!(matches!(err, FlError::Protocol { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn reassembler_buffers_only_what_a_hostile_header_delivers() {
+        // A header announcing the largest legal payload, then 16 bytes,
+        // then EOF: the buffer must track what arrived, not what was
+        // announced.
+        let mut wire = encode(&Envelope::control(MessageKind::Goodbye));
+        wire[5..ENVELOPE_HEADER_LEN]
+            .copy_from_slice(&(crate::message::MAX_ENVELOPE_PAYLOAD as u64).to_le_bytes());
+        wire.extend_from_slice(&[7u8; 16]);
+        let mut rx = FrameReassembler::new();
+        let mut out = Vec::new();
+        rx.feed(&wire, &mut out).unwrap();
+        assert!(out.is_empty());
+        assert!(rx.mid_frame(), "EOF here is a death mid-envelope");
+        assert_eq!(rx.payload.len(), 16);
+        assert!(
+            rx.payload.capacity() <= 16 + 64 * 1024,
+            "buffered capacity {} for 16 received bytes",
+            rx.payload.capacity()
+        );
     }
 
     #[test]

@@ -39,12 +39,14 @@ fn write_envelope<W: Write>(
         .map_err(|e| FlError::transport(format!("writing envelope to {peer}"), e))
 }
 
-/// Reads one envelope from a stream: fixed header first (parsed in place
-/// by [`parse_envelope_head`] — no buffer allocation), then the
-/// advertised payload length read directly into the envelope's own
-/// buffer (no reassembly or second decode pass — this is the hot round
-/// path, and the payload `Vec` is the envelope's storage, not scratch).
-fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
+/// Reads one envelope from a blocking stream: fixed header first (parsed
+/// in place by [`parse_envelope_head`] — no buffer allocation), then the
+/// advertised payload straight into the envelope's own buffer. The buffer
+/// grows only as payload bytes actually arrive, so a hostile header that
+/// announces a huge payload and then stalls or hangs up costs what was
+/// sent, not what was announced. A stream that ends mid-payload is a
+/// [`FlError::Transport`] failure.
+pub(crate) fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
     let mut header = [0u8; ENVELOPE_HEADER_LEN];
     r.read_exact(&mut header)
         .map_err(|e| FlError::transport(format!("reading envelope header from {peer}"), e))?;
@@ -54,9 +56,20 @@ fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
         },
         other => other,
     })?;
-    let mut payload = vec![0u8; head.payload_len];
-    r.read_exact(&mut payload)
+    let mut payload = Vec::new();
+    let read = r
+        .take(head.payload_len as u64)
+        .read_to_end(&mut payload)
         .map_err(|e| FlError::transport(format!("reading envelope payload from {peer}"), e))?;
+    if read < head.payload_len {
+        return Err(FlError::transport(
+            format!(
+                "reading envelope payload from {peer}: {read} of {} bytes before EOF",
+                head.payload_len
+            ),
+            std::io::ErrorKind::UnexpectedEof.into(),
+        ));
+    }
     Ok(Envelope {
         version: head.version,
         kind: head.kind,
@@ -254,6 +267,40 @@ mod tests {
         let echoed = server.exchange(sent.clone()).unwrap();
         assert_eq!(sent, echoed);
         handle.join().unwrap();
+    }
+
+    /// A reader that remembers the largest buffer it was offered.
+    struct Counting<R> {
+        inner: R,
+        largest_offer: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn hostile_length_prefix_costs_only_the_bytes_sent() {
+        // A header announcing the largest legal payload, then 16 bytes,
+        // then EOF.
+        let mut wire = crate::message::encode(&Envelope::control(MessageKind::Goodbye));
+        wire[5..ENVELOPE_HEADER_LEN]
+            .copy_from_slice(&(crate::message::MAX_ENVELOPE_PAYLOAD as u64).to_le_bytes());
+        wire.extend_from_slice(&[7u8; 16]);
+        let mut r = Counting {
+            inner: std::io::Cursor::new(wire),
+            largest_offer: 0,
+        };
+        let err = read_envelope(&mut r, "test").unwrap_err();
+        assert!(matches!(err, FlError::Transport { .. }), "{err:?}");
+        assert!(
+            r.largest_offer <= 16 + 64 * 1024,
+            "offered a {}-byte read buffer for 16 bytes of payload",
+            r.largest_offer
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use gradsec::data::SyntheticMicro;
 use gradsec::fl::config::{TrainingPlan, TransportKind};
 use gradsec::fl::message::{DatasetSpec, ModelSpec};
 use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec::fl::{AdversaryPlan, Aggregator, DistributedCoordinator, ExecutionEngine};
+use gradsec::fl::{AdversaryPlan, Aggregator, DistributedBuilder, ExecutionEngine};
 use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
 
@@ -88,7 +88,7 @@ fn hostile_fleet_is_bit_identical_across_runners_and_transports() {
                 fed.shutdown().unwrap();
                 (report, weights)
             } else {
-                let mut fed = b.shards(shards).build_sharded().unwrap();
+                let mut fed = b.shards(shards).build().unwrap();
                 let report = fed.run().unwrap();
                 let weights = fed.server().global().clone();
                 fed.shutdown().unwrap();
@@ -116,7 +116,7 @@ fn hostile_fleet_is_bit_identical_across_runners_and_transports() {
     // servers re-derive identical personas from the shipped scenario.
     let (want_report, want_weights) = reference.expect("in-process reference built");
     for (procs, workers) in [(2usize, 2usize), (4, 1)] {
-        let mut coord = DistributedCoordinator::builder(plan())
+        let mut coord = DistributedBuilder::new(plan())
             .clients(
                 CLIENTS,
                 DatasetSpec::Micro {

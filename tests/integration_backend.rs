@@ -48,13 +48,16 @@ fn builder(backend: BackendKind) -> FederationBuilder {
 }
 
 fn run_flat(backend: BackendKind, workers: usize) -> (FederationReport, ModelWeights) {
-    let mut fed = builder(backend).build().expect("flat federation builds");
     let engine = if workers <= 1 {
         ExecutionEngine::sequential()
     } else {
         ExecutionEngine::new(workers)
     };
-    let report = fed.run_with(&engine).expect("flat run completes");
+    let mut fed = builder(backend)
+        .engine(engine)
+        .build()
+        .expect("flat federation builds");
+    let report = fed.run().expect("flat run completes");
     let weights = fed.server().global().clone();
     fed.shutdown().expect("clean teardown");
     (report, weights)
@@ -70,7 +73,7 @@ fn run_sharded(
         .shards(shards)
         .engine(ExecutionEngine::new(workers))
         .transport(transport)
-        .build_sharded()
+        .build()
         .expect("sharded federation builds");
     let report = fed.run().expect("sharded run completes");
     let weights = fed.server().global().clone();
@@ -125,7 +128,7 @@ fn faulted_runs_are_bit_identical_within_each_backend() {
                 .faults(faults())
                 .shards(shards)
                 .engine(ExecutionEngine::new(workers))
-                .build_sharded()
+                .build()
                 .expect("faulted federation builds");
             let report = fed.run().expect("faulted run completes");
             let weights = fed.server().global().clone();

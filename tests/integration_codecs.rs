@@ -16,7 +16,7 @@ use gradsec::data::SyntheticMicro;
 use gradsec::fl::config::{TrainingPlan, TransportKind};
 use gradsec::fl::message::{DatasetSpec, ModelSpec};
 use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec::fl::{CodecKind, DistributedCoordinator, ExecutionEngine, FaultPlan};
+use gradsec::fl::{CodecKind, DistributedBuilder, ExecutionEngine, FaultPlan};
 use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
 
@@ -105,14 +105,14 @@ fn identity_codec_is_bit_identical_across_transports_and_shapes() {
         .transport(TransportKind::TcpMux)
         .shards(2)
         .engine(ExecutionEngine::new(2))
-        .build_sharded()
+        .build()
         .unwrap();
     let report = sharded.run().unwrap();
     assert_eq!(report, ref_report, "sharded mux diverged from reference");
     assert_eq!(sharded.server().global(), &ref_weights);
     sharded.shutdown().unwrap();
 
-    let mut coord = DistributedCoordinator::builder(plan())
+    let mut coord = DistributedBuilder::new(plan())
         .clients(
             CLIENTS,
             DatasetSpec::Micro {

@@ -13,7 +13,7 @@ use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::faults::FaultPlan;
 use gradsec::fl::message::{DatasetSpec, ModelSpec};
 use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec::fl::{DistributedCoordinator, ExecutionEngine};
+use gradsec::fl::{DistributedBuilder, ExecutionEngine};
 use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
 
@@ -76,7 +76,7 @@ fn flat_reference(faults: Option<FaultPlan>) -> (FederationReport, ModelWeights)
 }
 
 fn distributed(shards: usize, workers: usize) -> gradsec::fl::distributed::DistributedBuilder {
-    DistributedCoordinator::builder(plan())
+    DistributedBuilder::new(plan())
         .clients(CLIENTS, dataset_spec())
         .model(model_spec())
         .scheduler(ProtectionPolicy::static_layers(&[1]).unwrap())
@@ -113,7 +113,7 @@ fn distributed_matches_inprocess_sharding() {
     let mut fed = flat_builder()
         .shards(2)
         .engine(ExecutionEngine::new(2))
-        .build_sharded()
+        .build()
         .unwrap();
     let sharded_report = fed.run().unwrap();
     let sharded_weights = fed.server().global().clone();

@@ -13,7 +13,7 @@ use gradsec::fl::ExecutionEngine;
 use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
 
-fn lenet_federation() -> Federation {
+fn lenet_federation(engine: ExecutionEngine) -> Federation {
     let data = Arc::new(SyntheticCifar100::with_classes(64, 2, 11));
     let policy = ProtectionPolicy::static_layers(&[1, 4]).unwrap();
     Federation::builder(TrainingPlan {
@@ -28,18 +28,19 @@ fn lenet_federation() -> Federation {
     .clients(4, data)
     .trainer(|_| Box::new(SecureTrainer::new()))
     .scheduler(policy)
+    .engine(engine)
     .build()
     .unwrap()
 }
 
 fn run_with_workers(workers: usize) -> (FederationReport, ModelWeights) {
-    let mut fed = lenet_federation();
     let engine = if workers == 0 {
         ExecutionEngine::sequential()
     } else {
         ExecutionEngine::new(workers)
     };
-    let report = fed.run_with(&engine).unwrap();
+    let mut fed = lenet_federation(engine);
+    let report = fed.run().unwrap();
     (report, fed.server().global().clone())
 }
 
@@ -62,8 +63,8 @@ fn parallel_engine_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn round_ledger_carries_enclave_accounting_under_parallelism() {
-    let mut fed = lenet_federation();
-    let report = fed.run_with(&ExecutionEngine::new(3)).unwrap();
+    let mut fed = lenet_federation(ExecutionEngine::new(3));
+    let report = fed.run().unwrap();
     for round in &report.rounds {
         let ledger = &round.ledger;
         assert_eq!(
@@ -91,7 +92,7 @@ fn round_ledger_carries_enclave_accounting_under_parallelism() {
 fn dynamic_policy_schedules_identically_on_every_engine() {
     let data = Arc::new(SyntheticCifar100::with_classes(48, 2, 7));
     let window = gradsec::core::window::MovingWindow::uniform(2, 5, 13).unwrap();
-    let build = || {
+    let build = |engine: ExecutionEngine| {
         Federation::builder(TrainingPlan {
             rounds: 4,
             clients_per_round: 2,
@@ -105,13 +106,14 @@ fn dynamic_policy_schedules_identically_on_every_engine() {
         .scheduler(ProtectionPolicy::dynamic(
             gradsec::core::window::MovingWindow::uniform(2, 5, 13).unwrap(),
         ))
+        .engine(engine)
         .build()
         .unwrap()
     };
-    let mut seq = build();
-    let seq_report = seq.run_with(&ExecutionEngine::sequential()).unwrap();
-    let mut par = build();
-    let par_report = par.run_with(&ExecutionEngine::new(2)).unwrap();
+    let mut seq = build(ExecutionEngine::sequential());
+    let seq_report = seq.run().unwrap();
+    let mut par = build(ExecutionEngine::new(2));
+    let par_report = par.run().unwrap();
     assert_eq!(seq_report, par_report);
     // The schedule itself followed the window's deterministic draws.
     for r in &seq_report.rounds {

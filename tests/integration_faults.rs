@@ -85,8 +85,11 @@ fn builder(faults: FaultPlan) -> FederationBuilder {
 fn faulted_reports_are_invariant_across_shards_workers_and_transports() {
     let deadline = cycle_cost_s() + 1.0;
     let reference: (FederationReport, ModelWeights) = {
-        let mut fed = builder(faults(deadline)).build().unwrap();
-        let report = fed.run_with(&ExecutionEngine::sequential()).unwrap();
+        let mut fed = builder(faults(deadline))
+            .engine(ExecutionEngine::sequential())
+            .build()
+            .unwrap();
+        let report = fed.run().unwrap();
         let weights = fed.server().global().clone();
         fed.shutdown().unwrap();
         (report, weights)
@@ -113,7 +116,7 @@ fn faulted_reports_are_invariant_across_shards_workers_and_transports() {
                     .transport(transport)
                     .shards(shards)
                     .engine(ExecutionEngine::new(workers))
-                    .build_sharded()
+                    .build()
                     .unwrap();
                 let report = fed.run().unwrap();
                 assert_eq!(
@@ -155,7 +158,7 @@ fn kilo_client_round_with_ten_percent_dropout_completes_and_accounts_everyone() 
     )
     .shards(4)
     .engine(ExecutionEngine::new(4))
-    .build_sharded()
+    .build()
     .unwrap();
     let report = fed.run().unwrap();
     fed.shutdown().unwrap();

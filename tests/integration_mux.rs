@@ -86,8 +86,11 @@ fn mux_round_is_bit_identical_to_threaded_tcp_and_in_process() {
 #[test]
 fn sharded_mux_matches_the_flat_sequential_reference() {
     let (flat_report, flat_weights) = {
-        let mut fed = builder().build().unwrap();
-        let report = fed.run_with(&ExecutionEngine::sequential()).unwrap();
+        let mut fed = builder()
+            .engine(ExecutionEngine::sequential())
+            .build()
+            .unwrap();
+        let report = fed.run().unwrap();
         let weights = fed.server().global().clone();
         fed.shutdown().unwrap();
         (report, weights)
@@ -98,7 +101,7 @@ fn sharded_mux_matches_the_flat_sequential_reference() {
                 .transport(TransportKind::TcpMux)
                 .shards(shards)
                 .engine(ExecutionEngine::new(workers))
-                .build_sharded()
+                .build()
                 .unwrap();
             let report = fed.run().unwrap();
             assert_eq!(

@@ -10,7 +10,7 @@ use gradsec::core::trainer::SecureTrainer;
 use gradsec::core::ProtectionPolicy;
 use gradsec::data::SyntheticMicro;
 use gradsec::fl::config::{TrainingPlan, TransportKind};
-use gradsec::fl::runner::{Federation, FederationReport, ShardedFederation};
+use gradsec::fl::runner::{Federation, FederationReport};
 use gradsec::fl::{ExecutionEngine, FlError};
 use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
@@ -42,8 +42,12 @@ fn builder(shards: usize, workers: usize) -> gradsec::fl::runner::FederationBuil
 }
 
 fn flat_reference() -> (FederationReport, ModelWeights) {
-    let mut fed = builder(1, 1).shards(1).build().unwrap();
-    let report = fed.run_with(&ExecutionEngine::sequential()).unwrap();
+    let mut fed = builder(1, 1)
+        .shards(1)
+        .engine(ExecutionEngine::sequential())
+        .build()
+        .unwrap();
+    let report = fed.run().unwrap();
     let weights = fed.server().global().clone();
     fed.shutdown().unwrap();
     (report, weights)
@@ -55,7 +59,7 @@ fn sharded_report_is_invariant_across_shards_and_workers() {
     assert_eq!(flat_report.rounds_completed, 3);
     for shards in [1usize, 2, 4] {
         for workers in [1usize, 2, 4] {
-            let mut fed = builder(shards, workers).build_sharded().unwrap();
+            let mut fed = builder(shards, workers).build().unwrap();
             assert_eq!(fed.num_shards(), shards);
             let report = fed.run().unwrap();
             assert_eq!(
@@ -74,7 +78,7 @@ fn sharded_report_is_invariant_across_shards_and_workers() {
 
 #[test]
 fn sharded_ledger_accounts_every_participant() {
-    let mut fed = builder(4, 2).build_sharded().unwrap();
+    let mut fed = builder(4, 2).build().unwrap();
     let report = fed.run().unwrap();
     for round in &report.rounds {
         assert_eq!(round.ledger.len(), round.participants.len());
@@ -92,7 +96,7 @@ fn sharded_ledger_accounts_every_participant() {
 #[test]
 fn sharded_runs_are_transport_agnostic() {
     let run = |transport: TransportKind| -> (FederationReport, ModelWeights) {
-        let mut fed = builder(2, 2).transport(transport).build_sharded().unwrap();
+        let mut fed = builder(2, 2).transport(transport).build().unwrap();
         let report = fed.run().unwrap();
         let weights = fed.server().global().clone();
         fed.shutdown().unwrap();
@@ -118,7 +122,7 @@ fn duplicate_pick_schedules_error_instead_of_panicking() {
 
 #[test]
 fn sharded_federation_debug_and_layout_are_coherent() {
-    let fed: ShardedFederation = builder(4, 1).build_sharded().unwrap();
+    let fed: Federation = builder(4, 1).build().unwrap();
     assert_eq!(fed.num_clients(), CLIENTS);
     assert_eq!(fed.layout().num_shards(), 4);
     let covered: usize = (0..fed.num_shards())
@@ -126,6 +130,7 @@ fn sharded_federation_debug_and_layout_are_coherent() {
         .sum();
     assert_eq!(covered, CLIENTS);
     let dbg = format!("{fed:?}");
-    assert!(dbg.contains("ShardedFederation"), "{dbg}");
+    assert!(dbg.contains("Federation"), "{dbg}");
+    assert!(dbg.contains("shards: 4"), "{dbg}");
     fed.shutdown().unwrap();
 }
